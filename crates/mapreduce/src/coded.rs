@@ -9,11 +9,17 @@
 //! 2. **Map**: each node hashes each of its `C(K-1, r-1)` files, keeping
 //!    intermediates per the §IV-B rule.
 //! 3. **Encode**: Algorithm 1 — one coded packet per group membership.
-//! 4. **Multicast Shuffling**: serial multicast (Fig. 9(b)) — groups in
-//!    global id order; within a group, members multicast in rank order over
-//!    the configured [`ShuffleFabric`](cts_net::fabric::ShuffleFabric):
-//!    true one-to-many sends by default, serial-unicast or fanout emulation
-//!    for the ablation baselines.
+//! 4. **Multicast Shuffling**: send-first by default — every node
+//!    multicasts all of its packets in schedule order, then drains its
+//!    receives, so all `K` NICs work concurrently (the §VI
+//!    asynchronous-execution direction).
+//!    [`strict_serial_shuffle`](crate::stage::EngineConfig::strict_serial_shuffle)
+//!    runs the paper's serial multicast (Fig. 9(b)) instead: groups in
+//!    global id order, members taking turns in rank order. Either way the
+//!    packets go over the configured
+//!    [`ShuffleFabric`](cts_net::fabric::ShuffleFabric): true one-to-many
+//!    sends by default, serial-unicast or fanout emulation for the
+//!    ablation baselines.
 //! 5. **Decode**: Algorithm 2 — received packets are cancelled against
 //!    local intermediates and merged.
 //! 6. **Reduce**: identical to the uncoded engine's.
@@ -327,6 +333,75 @@ fn maybe_crash(cfg: &EngineConfig, me: usize, point: CrashPoint, ctx: &mut SyncC
     }
 }
 
+/// The send half of the shuffle, shared by every schedule: this rank's
+/// own coded packets, multicast one group at a time over the configured
+/// fabric. A [`CrashPoint::AfterSends`]`(n)` injection kills the rank
+/// after exactly `n` of these multicasts, whichever schedule issues them.
+struct OwnSends<'a> {
+    comm: &'a cts_net::Communicator,
+    cfg: &'a EngineConfig,
+    /// Wire frame and header-overhead bytes per owned group id.
+    packets: std::collections::HashMap<u64, (Bytes, u64)>,
+    sent: u64,
+}
+
+impl OwnSends<'_> {
+    /// Multicasts the packet for group `gid` to `members` (the root arm
+    /// never blocks on receivers). `Ok(true)` means a crash injection
+    /// stopped the rank first and it must exit as crashed.
+    fn send(
+        &mut self,
+        gid: u64,
+        members: &[usize],
+        stats: &mut NodeStats,
+        ctx: &mut SyncCtx,
+    ) -> Result<bool> {
+        let me = self.comm.rank();
+        if maybe_crash(self.cfg, me, CrashPoint::AfterSends(self.sent), ctx) {
+            return Ok(true);
+        }
+        let (payload, header) = self
+            .packets
+            .remove(&gid)
+            .expect("one packet per owned group");
+        stats.sent_bytes += payload.len() as u64;
+        self.comm
+            .multicast_with_overhead(me, members, group_tag(gid), Some(payload), header)?;
+        self.sent += 1;
+        Ok(false)
+    }
+
+    /// Fires an `AfterSends` budget at or past the last send, once every
+    /// packet is out.
+    fn finish(&self, ctx: &mut SyncCtx) -> bool {
+        let me = self.comm.rank();
+        match self.cfg.crash_point_of(me) {
+            Some(point @ CrashPoint::AfterSends(n)) if n >= self.sent => {
+                maybe_crash(self.cfg, me, point, ctx)
+            }
+            _ => false,
+        }
+    }
+
+    /// Send-first: every owned packet in schedule order, with no receive
+    /// in between, so a budget past the last send dies having sent
+    /// everything and received nothing.
+    fn send_all(
+        &mut self,
+        schedule: &[(u64, NodeSet, Vec<usize>)],
+        stats: &mut NodeStats,
+        ctx: &mut SyncCtx,
+    ) -> Result<bool> {
+        let me = self.comm.rank();
+        for (gid, members, member_list) in schedule {
+            if members.contains(me) && self.send(*gid, member_list, stats, ctx)? {
+                return Ok(true);
+            }
+        }
+        Ok(self.finish(ctx))
+    }
+}
+
 /// Borrowed inputs `finish_reduce` needs to run the recovery agreement
 /// and adoption ahead of the reduce.
 struct RecoveryFinish<'a> {
@@ -470,10 +545,16 @@ fn node_main<W: Workload>(
     }
     ctx.sync(comm)?;
 
-    // ---- Multicast Shuffling: serial multicast (Fig. 9(b)) --------------
-    // With `pipelined_decode` (the §VI asynchronous-execution step),
-    // Algorithm 2 runs inline as packets arrive; otherwise packets are
-    // buffered for the separate Decode stage, as the paper executes.
+    // ---- Multicast Shuffling ---------------------------------------------
+    // Send-first by default (the §VI asynchronous-execution direction):
+    // each rank multicasts all of its own packets in schedule order, then
+    // drains its expected (group, sender) receives, so no send waits on a
+    // receive and every rank's NIC drains at once. `strict_serial_shuffle`
+    // keeps the paper's serial multicast (Fig. 9(b)): groups in global id
+    // order, members taking turns in rank order, a barrier after each
+    // group. With `pipelined_decode`, Algorithm 2 runs inline in drain
+    // order; otherwise packets are buffered for the separate Decode stage,
+    // as the paper executes.
     comm.set_stage(stages::SHUFFLE);
     let timer = StageTimer::start();
     let mut pipeline = DecodePipeline::with_field(k, r, me, cfg.field)
@@ -481,36 +562,23 @@ fn node_main<W: Workload>(
         .with_decode(cfg.decode);
     let mut packet_shell = CodedPacket::empty();
     let mut recovered: Vec<(NodeSet, Vec<u8>)> = Vec::new();
-    let mut received: Vec<Bytes> = Vec::new();
+    let mut sends = OwnSends {
+        comm,
+        cfg,
+        packets: my_packets,
+        sent: 0,
+    };
     if quorum {
-        // Quorum shuffle: fire every owned multicast without waiting for
-        // peers (the root arm never blocks on receivers), then poll the
-        // expected (group, sender) pairs, decoding inline. Each group
+        // Quorum shuffle: send first like the default schedule, then poll
+        // the expected (group, sender) pairs, decoding inline. Each group
         // releases the moment its decode completes — with MDS packets,
         // after any `r − 1` of its `r` sends — so a straggling or dead
         // sender delays nothing but its own groups' last equation.
         // `strict_serial_shuffle` and `pipelined_decode` have no meaning
         // here and are ignored: the quorum loop is inherently pipelined
         // and unordered.
-        let mut sends_done = 0u64;
-        for (gid, members, member_list) in &schedule {
-            if !members.contains(me) {
-                continue;
-            }
-            if maybe_crash(cfg, me, CrashPoint::AfterSends(sends_done), &mut ctx) {
-                return Ok(NodeOutcome::Crashed);
-            }
-            let (payload, header) = my_packets.remove(gid).expect("one packet per owned group");
-            stats.sent_bytes += payload.len() as u64;
-            comm.multicast_with_overhead(me, member_list, group_tag(*gid), Some(payload), header)?;
-            sends_done += 1;
-        }
-        // A budget at or past the last send dies here, having sent
-        // everything but received nothing.
-        if let Some(point @ CrashPoint::AfterSends(n)) = cfg.crash_point_of(me) {
-            if n >= sends_done && maybe_crash(cfg, me, point, &mut ctx) {
-                return Ok(NodeOutcome::Crashed);
-            }
+        if sends.send_all(&schedule, &mut stats, &mut ctx)? {
+            return Ok(NodeOutcome::Crashed);
         }
         let my_gids: Vec<u64> = schedule
             .iter()
@@ -651,50 +719,41 @@ fn node_main<W: Workload>(
             Some(fin),
         );
     }
-    let mut sends_done = 0u64;
+    let strict = cfg.strict_serial_shuffle;
+    if !strict && sends.send_all(&schedule, &mut stats, &mut ctx)? {
+        return Ok(NodeOutcome::Crashed);
+    }
+    let mut received: Vec<Bytes> = Vec::new();
     for (gid, members, member_list) in &schedule {
-        if !members.contains(me) {
-            if cfg.strict_serial_shuffle {
-                comm.barrier()?;
-            }
-            continue;
-        }
-        let tag = group_tag(*gid);
-        for &sender in member_list {
-            if sender == me {
-                if maybe_crash(cfg, me, CrashPoint::AfterSends(sends_done), &mut ctx) {
+        if members.contains(me) {
+            for &sender in member_list {
+                if sender != me {
+                    let payload = comm.multicast(sender, member_list, group_tag(*gid), None)?;
+                    stats.recv_bytes += payload.len() as u64;
+                    if cfg.pipelined_decode {
+                        decode_one(
+                            &payload,
+                            &mut packet_shell,
+                            &mut pipeline,
+                            &store,
+                            &mut stats,
+                            &mut recovered,
+                            decode_ctr.as_deref(),
+                        )?;
+                    } else {
+                        received.push(payload);
+                    }
+                } else if strict && sends.send(*gid, member_list, &mut stats, &mut ctx)? {
                     return Ok(NodeOutcome::Crashed);
                 }
-                sends_done += 1;
-                let (payload, header) = my_packets.remove(gid).expect("one packet per owned group");
-                stats.sent_bytes += payload.len() as u64;
-                comm.multicast_with_overhead(me, member_list, tag, Some(payload), header)?;
-            } else {
-                let payload = comm.multicast(sender, member_list, tag, None)?;
-                stats.recv_bytes += payload.len() as u64;
-                if cfg.pipelined_decode {
-                    decode_one(
-                        &payload,
-                        &mut packet_shell,
-                        &mut pipeline,
-                        &store,
-                        &mut stats,
-                        &mut recovered,
-                        decode_ctr.as_deref(),
-                    )?;
-                } else {
-                    received.push(payload);
-                }
             }
         }
-        if cfg.strict_serial_shuffle {
+        if strict {
             comm.barrier()?;
         }
     }
-    if let Some(point @ CrashPoint::AfterSends(n)) = cfg.crash_point_of(me) {
-        if n >= sends_done && maybe_crash(cfg, me, point, &mut ctx) {
-            return Ok(NodeOutcome::Crashed);
-        }
+    if strict && sends.finish(&mut ctx) {
+        return Ok(NodeOutcome::Crashed);
     }
     ctx.sync(comm)?;
     wall.shuffle = timer.stop();

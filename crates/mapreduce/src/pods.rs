@@ -248,44 +248,68 @@ fn pod_node_main<W: Workload>(
     wall.pack_encode = timer.stop();
     comm.barrier()?;
 
-    // ---- Shuffle: in-pod serial multicast, then cross-pod serial unicast --
+    // ---- Shuffle: in-pod coded multicast, then cross-pod unicast -------
+    // Send-first, like the flat engines: each phase pushes all of this
+    // node's own messages before draining its receives, so the NICs work
+    // concurrently. `strict_serial_shuffle` keeps the paper's turn-taking
+    // schedule instead (senders in rank order, plus a barrier per
+    // cross-pod turn). Receives drain in schedule order either way.
     comm.set_stage(stages::SHUFFLE);
     let timer = StageTimer::start();
-    let mut received_packets: Vec<Bytes> = Vec::new();
-    for (gid, members, member_list) in &schedule {
-        let tag = pod_bcast_tag(my_pod, *gid, groups_per_pod);
-        if !members.contains(me) {
-            continue;
+    let strict = cfg.strict_serial_shuffle;
+    let mut send_packet = |gid: u64, member_list: &[usize], stats: &mut NodeStats| -> Result<()> {
+        let (payload, header) = my_packets.remove(&gid).expect("one packet per owned group");
+        stats.sent_bytes += payload.len() as u64;
+        let tag = pod_bcast_tag(my_pod, gid, groups_per_pod);
+        comm.multicast_with_overhead(me, member_list, tag, Some(payload), header)?;
+        Ok(())
+    };
+    let mine = schedule
+        .iter()
+        .filter(|(_, members, _)| members.contains(me));
+    if !strict {
+        for (gid, _, member_list) in mine.clone() {
+            send_packet(*gid, member_list, &mut stats)?;
         }
+    }
+    let mut received_packets: Vec<Bytes> = Vec::new();
+    for (gid, _, member_list) in mine {
+        let tag = pod_bcast_tag(my_pod, *gid, groups_per_pod);
         for &sender in member_list {
-            if sender == me {
-                let (payload, header) = my_packets.remove(gid).expect("one packet per owned group");
-                stats.sent_bytes += payload.len() as u64;
-                comm.multicast_with_overhead(me, member_list, tag, Some(payload), header)?;
-            } else {
+            if sender != me {
                 let payload = comm.multicast(sender, member_list, tag, None)?;
                 stats.recv_bytes += payload.len() as u64;
                 received_packets.push(payload);
+            } else if strict {
+                send_packet(*gid, member_list, &mut stats)?;
             }
         }
     }
     comm.barrier()?;
 
-    // Cross-pod phase: serial by sender rank (Fig. 9(a) style). Every node
-    // computes every sender's outbound counts so receivers know how many
-    // messages to expect.
+    // Cross-pod phase: every node computes every sender's outbound counts
+    // so receivers know how many messages to expect.
     let min_holder_files_per_node = |node: usize| -> u64 {
         let local = node % g;
         plan.files_of_node(local)
             .filter(|fid| plan.nodes_of_file(*fid).min() == Some(local))
             .count() as u64
     };
+    let mut send_cross = |stats: &mut NodeStats| -> Result<()> {
+        for (t, payload) in framed_cross.drain(..) {
+            stats.sent_bytes += payload.len() as u64;
+            comm.send(t, cross_pod_tag(), payload)?;
+        }
+        Ok(())
+    };
+    if !strict {
+        send_cross(&mut stats)?;
+    }
     let mut received_cross: Vec<Bytes> = Vec::new();
     for sender in 0..k {
         if sender == me {
-            for (t, payload) in framed_cross.drain(..) {
-                stats.sent_bytes += payload.len() as u64;
-                comm.send(t, cross_pod_tag(), payload)?;
+            if strict {
+                send_cross(&mut stats)?;
             }
         } else if sender / g != my_pod {
             // Each out-pod min-holder sends one message per (file, me).
@@ -295,7 +319,7 @@ fn pod_node_main<W: Workload>(
                 received_cross.push(payload);
             }
         }
-        if cfg.strict_serial_shuffle {
+        if strict {
             comm.barrier()?;
         }
     }

@@ -136,18 +136,25 @@ pub struct EngineConfig {
     pub r: usize,
     /// Cluster fabric configuration.
     pub cluster: ClusterConfig,
-    /// Insert a global barrier after every multicast group / sender turn so
-    /// *wall-clock* execution is strictly serial like the paper's. The
+    /// Run the paper's serial shuffle schedule (Fig. 9(a)/(b)): senders
+    /// take turns — each rank receives from every earlier member of a
+    /// group before sending its own packet — with a global barrier after
+    /// every multicast group / sender turn. Off (the default), the
+    /// shuffle is send-first: every rank pushes all of its own packets,
+    /// then drains its receives, so all `K` NICs work concurrently. The
+    /// packets, bytes and outputs are the same either way, and the
     /// virtual-time model replays the trace serially regardless, so this
-    /// only matters for rate-limited real-time runs.
+    /// only matters for rate-limited real-time runs. The quorum decode
+    /// path is always send-first and ignores it.
     pub strict_serial_shuffle: bool,
-    /// Decode each coded packet as it arrives instead of in a separate
-    /// stage afterwards — a first step toward the paper's §VI
+    /// Decode each coded packet as the shuffle drains it instead of in a
+    /// separate stage afterwards — a step toward the paper's §VI
     /// *asynchronous execution* direction: XOR cancellation overlaps the
-    /// waits of the multicast shuffle. Outputs are identical; the decode
-    /// work simply lands inside the Shuffle wall-clock window (stats and
-    /// traced bytes are unchanged, so the paper-scale model is
-    /// unaffected).
+    /// waits for peers' packets. Packets decode in receive-drain order
+    /// (schedule order: groups by id, senders by rank). Outputs are
+    /// identical; the decode work simply lands inside the Shuffle
+    /// wall-clock window (stats and traced bytes are unchanged, so the
+    /// paper-scale model is unaffected).
     pub pipelined_decode: bool,
     /// Intra-node worker threads for the CPU-bound stages (Map hashing,
     /// per-group encode, per-packet decode, the Reduce sort). `1` (the

@@ -7,8 +7,12 @@
 //! 2. **Map**: node `k` hashes file `F_{k}` into `K` intermediates.
 //! 3. **Pack**: intermediates destined to other nodes are finalized as
 //!    contiguous buffers (one TCP flow per intermediate — paper §V-A).
-//! 4. **Shuffle**: serial unicast (Fig. 9(a)): senders take turns; each
-//!    sends `I^j_{k}` to node `j` back-to-back.
+//! 4. **Shuffle**: send-first by default — every node sends `I^j_{k}` to
+//!    each node `j` back-to-back, then drains its receives, so all `K`
+//!    NICs work concurrently.
+//!    [`strict_serial_shuffle`](crate::stage::EngineConfig::strict_serial_shuffle)
+//!    runs the paper's serial unicast (Fig. 9(a)) instead: senders take
+//!    turns in rank order.
 //! 5. **Unpack + Reduce**: node `k` deserializes what it received and
 //!    reduces its partition.
 
@@ -151,26 +155,38 @@ fn node_main<W: Workload>(
     wall.pack_encode = timer.stop();
     comm.barrier()?;
 
-    // ---- Shuffle: serial unicast (Fig. 9(a)) ---------------------------
+    // ---- Shuffle ------------------------------------------------------
+    // Send-first unless `strict_serial_shuffle` asks for the paper's
+    // serial unicast (Fig. 9(a)), where senders take turns in rank order
+    // with a barrier after each turn. Receives drain in sender order
+    // either way, so the partition assembles identically.
     comm.set_stage(stages::SHUFFLE);
     let timer = StageTimer::start();
+    let strict = cfg.strict_serial_shuffle;
+    let mut send_mine = |stats: &mut NodeStats| -> Result<()> {
+        // Staggered destination order (s+1, s+2, …): hotspot-free when
+        // every sender streams at once.
+        for i in 1..k {
+            let dst = (me + i) % k;
+            let payload = packed[dst].take().expect("each partition sent once");
+            stats.sent_bytes += payload.len() as u64;
+            comm.send(dst, Tag::app(me as u32), payload)?;
+        }
+        Ok(())
+    };
+    if !strict {
+        send_mine(&mut stats)?;
+    }
     let mut received: Vec<Bytes> = Vec::with_capacity(k - 1);
     for sender in 0..k {
-        if sender == me {
-            // Staggered destination order (s+1, s+2, …): irrelevant for the
-            // serial schedule, hotspot-free for the parallel-shuffle replay.
-            for i in 1..k {
-                let dst = (me + i) % k;
-                let payload = packed[dst].take().expect("each partition sent once");
-                stats.sent_bytes += payload.len() as u64;
-                comm.send(dst, Tag::app(sender as u32), payload)?;
-            }
-        } else {
+        if sender != me {
             let payload = comm.recv(sender, Tag::app(sender as u32))?;
             stats.recv_bytes += payload.len() as u64;
             received.push(payload);
+        } else if strict {
+            send_mine(&mut stats)?;
         }
-        if cfg.strict_serial_shuffle {
+        if strict {
             comm.barrier()?;
         }
     }

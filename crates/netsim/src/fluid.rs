@@ -261,8 +261,9 @@ pub fn fabric_queues(
 /// with the serial upper bound
 /// ([`serial_fabric_makespan`](crate::serial::serial_fabric_makespan))
 /// this sandwiches the *measured* wall-clock of a NIC-emulated run: the
-/// real engine's turn-taking inside multicast groups serializes more than
-/// this bound but never less than the serial one.
+/// real engine's schedule (send-first by default, turn-taking under
+/// `strict_serial_shuffle`) overlaps flows less than this bound assumes,
+/// but never serializes them more than the serial one.
 pub fn predict_fabric_shuffle_s(
     trace: &Trace,
     stage: &str,

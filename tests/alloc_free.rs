@@ -10,9 +10,16 @@
 //! * unpack: [`CodedPacket::read_wire`] — zero-copy payload borrow plus a
 //!   reused header vector;
 //! * decode: [`Decoder::decode_packet_into`] into a warm accumulator.
+//!
+//! libtest runs tests concurrently and allocates on its own thread
+//! between them, so every test holds [`audit`]'s guard across its warm-up
+//! and measured window: the guard serializes the audits and counts only
+//! the auditing thread's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use bytes::Bytes;
 use cts_core::decode::{DecodePipeline, Decoder};
@@ -23,24 +30,37 @@ use cts_core::placement::PlacementPlan;
 use cts_core::subset::NodeSet;
 
 /// Allocation counter (counts `alloc`, `alloc_zeroed`, and growth via
-/// `realloc`; deallocations are free).
+/// `realloc` on an audited thread; deallocations are free).
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations count (set while an [`Audit`]
+    /// guard lives).
+    static AUDITED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs during thread teardown.
+    if AUDITED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -51,6 +71,29 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
+
+/// One test's audit window: holds the process-wide audit lock and marks
+/// the current thread as counted until dropped.
+struct Audit {
+    _serial: MutexGuard<'static, ()>,
+}
+
+impl Drop for Audit {
+    fn drop(&mut self) {
+        AUDITED.with(|a| a.set(false));
+    }
+}
+
+/// Starts an audit window. A test that fails inside one poisons the lock;
+/// the next test still runs (the guarded state is `()`).
+fn audit() -> Audit {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    let serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    AUDITED.with(|a| a.set(true));
+    Audit { _serial: serial }
+}
 
 /// Keep-rule store for one node of a `(k, r)` deployment.
 fn store_for(k: usize, r: usize, node: usize, value_len: usize) -> MapOutputStore {
@@ -72,6 +115,7 @@ fn store_for(k: usize, r: usize, node: usize, value_len: usize) -> MapOutputStor
 
 #[test]
 fn warm_round_trip_allocates_nothing() {
+    let _audit = audit();
     let (k, r, value_len) = (6usize, 3usize, 4096usize);
     let sender = 0usize;
     let receiver = 1usize;
@@ -141,6 +185,7 @@ fn warm_round_trip_allocates_nothing() {
 /// heap allocations with nontrivial coefficients too.
 #[test]
 fn warm_gf256_round_trip_allocates_nothing() {
+    let _audit = audit();
     use cts_core::field::FieldKind;
     let (k, r, value_len) = (6usize, 3usize, 4096usize);
     let sender = 0usize;
@@ -203,6 +248,7 @@ fn warm_gf256_round_trip_allocates_nothing() {
 /// get → parse → decode → put — must perform zero heap allocations.
 #[test]
 fn warm_parallel_decode_shard_path_allocates_nothing() {
+    let _audit = audit();
     let (k, r, value_len) = (6usize, 3usize, 4096usize);
     let sender = 0usize;
     let receiver = 1usize;
@@ -277,6 +323,7 @@ fn warm_parallel_decode_shard_path_allocates_nothing() {
 /// lets the daemon keep them on by default.
 #[test]
 fn warm_metrics_enabled_round_trip_allocates_nothing() {
+    let _audit = audit();
     use cts_core::metrics::MetricsHub;
     use cts_net::span::{SpanCollector, StageSpan};
     use cts_net::trace::{EventKind, TraceCollector};

@@ -268,3 +268,60 @@ fn emulated_nic_orders_fabric_wall_clock() {
         "multicast {multicast:?} much slower than fanout {fanout:?}"
     );
 }
+
+#[test]
+fn send_first_shuffle_overlaps_every_nic() {
+    // The default shuffle is send-first: each rank pushes all of its own
+    // packets before draining its receives, so the K emulated NICs drain
+    // concurrently and the measured shuffle comes close to a perfect
+    // K-way split of the strictly serial replay of its own trace. The
+    // latency term is sized to dominate and to be sleep-sized: per rank,
+    // 10 group sends × 4 ms ≈ 40 ms concurrent against 60 × 4 ms ≈ 240 ms
+    // serial. Send-first measures ≈ 0.16× the serial replay here; a
+    // sender-turn chain (each rank waiting on every earlier group member
+    // before sending) measures ≈ 0.27×, above the 1.25/K ≈ 0.21× bound.
+    use cts_netsim::config::NetModelConfig;
+    use cts_netsim::serial::serial_fabric_makespan;
+
+    let (k, r) = (6, 2);
+    let (rate, latency, alpha) = (4_000_000.0, 4e-3, 0.30);
+    let mut nic = NicProfile::rate_limited(rate)
+        .with_latency_s(latency)
+        .with_multicast_alpha(alpha);
+    nic.burst_bytes = 4096.0;
+    let net = NetModelConfig {
+        bandwidth_bits_per_sec: rate * 8.0,
+        tcp_efficiency: 1.0,
+        per_transfer_latency_s: latency,
+        multicast_alpha: alpha,
+        group_setup_s: 0.0,
+    };
+    let input = teragen::generate(3_000, 23);
+    let job = SortJob::local(k, r).with_nic(nic);
+    let default = run_coded_terasort(input.clone(), &job).unwrap();
+    default.validate().unwrap();
+    let mut strict_job = job.clone();
+    strict_job.engine.strict_serial_shuffle = true;
+    let strict = run_coded_terasort(input, &strict_job).unwrap();
+    strict.validate().unwrap();
+    assert_eq!(default.outcome.outputs, strict.outcome.outputs);
+
+    let measured = default.outcome.wall.max.shuffle.as_secs_f64();
+    let serial = serial_fabric_makespan(
+        &default.outcome.trace,
+        "Shuffle",
+        ShuffleFabric::Multicast,
+        &net,
+        1.0,
+    );
+    let bound = 1.25 / k as f64;
+    assert!(
+        measured <= bound * serial,
+        "send-first shuffle {measured:.4} s above {bound:.3}× the serial replay {serial:.4} s"
+    );
+    let strict_measured = strict.outcome.wall.max.shuffle.as_secs_f64();
+    assert!(
+        strict_measured > measured,
+        "strict serial shuffle {strict_measured:.4} s not slower than send-first {measured:.4} s"
+    );
+}

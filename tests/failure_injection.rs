@@ -410,6 +410,51 @@ fn more_deaths_than_the_code_tolerates_degrade_gracefully() {
     );
 }
 
+#[test]
+fn crash_after_sends_counts_own_multicasts_under_barrier_on_all() {
+    // The send half of the shuffle is shared by the barrier-on-all and
+    // quorum paths. Under `DecodeMode::All` (recovery off, so the death is
+    // a typed fast failure) `AfterSends(n)` must still kill the victim
+    // after exactly `n` of its own multicasts — on the send-first default
+    // schedule and on the strict serial one — and a budget past the last
+    // send (each rank owns C(4, 2) = 6 groups here) after all of them.
+    use coded_terasort::mapreduce::{run_coded_on, EngineConfig};
+    use coded_terasort::net::cluster::{JobBinding, SharedFabric};
+    use coded_terasort::net::trace::EventKind;
+    use coded_terasort::terasort::workload::TeraSortWorkload;
+
+    let (k, r, victim) = (5usize, 2usize, 3usize);
+    let input = teragen::generate(800, 31);
+    let workload = TeraSortWorkload::range(k);
+    for strict in [false, true] {
+        for n in [0u64, 2, 99] {
+            let point = CrashPoint::AfterSends(n);
+            let mut cfg = EngineConfig::local(k, r).with_crash(CrashSpec {
+                rank: victim,
+                point,
+            });
+            cfg.strict_serial_shuffle = strict;
+            let fabric = SharedFabric::build(&cfg.cluster).unwrap();
+            let err = run_coded_on(&fabric, JobBinding::ROOT, &workload, input.clone(), &cfg)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                EngineError::RankDied {
+                    rank: victim,
+                    point
+                },
+                "strict={strict}"
+            );
+            let sent = fabric
+                .trace_snapshot()
+                .stage_events("Shuffle")
+                .filter(|e| e.kind == EventKind::Multicast && e.src as usize == victim)
+                .count() as u64;
+            assert_eq!(sent, n.min(6), "strict={strict} n={n}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
