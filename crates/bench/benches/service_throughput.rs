@@ -212,6 +212,10 @@ fn drive(
 fn write_artifact(records: usize, jobs_per_tenant: usize, rows: &[Row], overhead: (f64, f64)) {
     let (on_jps, off_jps) = overhead;
     let mut doc = BenchDoc::new("service_throughput")
+        .config(
+            "nproc",
+            Value::UInt(std::thread::available_parallelism().map_or(1, |n| n.get()) as u64),
+        )
         .config("k", Value::UInt(K as u64))
         .config("r", Value::UInt(R as u64))
         .config("records_per_job", Value::UInt(records as u64))

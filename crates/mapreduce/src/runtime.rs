@@ -18,7 +18,8 @@
 //!                 │   │ lease slot 1..=63 (SlotPool)      │
 //!                 │   ▼                                   │
 //!                 │ SharedFabric::run_job(binding, …)     │
-//!                 │   tags/trace/NIC scoped per job       │
+//!                 │   tags/trace/NIC scoped per job;      │
+//!                 │   trace retired when the job finishes │
 //!                 │ Budget: all jobs' WorkerPools lease   │
 //!                 │   threads cooperatively (yield_slices)│
 //!                 └───────────────────────────────────────┘
@@ -435,6 +436,11 @@ impl JobRuntime {
                         }
                         metrics.running.add(-1);
                         metrics.record_finish(&outcome);
+                        // The outcome carries its own trace; dropping the
+                        // job's events from the fabric-wide collector
+                        // before publishing keeps the resident trace as
+                        // small as the in-flight work.
+                        fabric.retire_job(sub.id);
                         shared.finish(sub.id, outcome);
                     }
                 })
@@ -544,7 +550,9 @@ impl JobRuntime {
         rows
     }
 
-    /// The resident fabric (e.g. for all-jobs trace snapshots).
+    /// The resident fabric. Its all-jobs trace snapshot holds only jobs
+    /// still in flight: each job's events leave the fabric-wide trace
+    /// when it finishes (its [`JobOutcome::trace`] keeps them).
     pub fn fabric(&self) -> &SharedFabric {
         &self.fabric
     }

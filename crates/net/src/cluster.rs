@@ -251,7 +251,8 @@ impl JobBinding {
 ///   job's slot namespace, so two jobs using `Tag::app(0)` on the same
 ///   mailbox never cross-match;
 /// - **traces**: events are stamped with the job id and the returned
-///   [`ClusterRun::trace`] is pre-filtered to it;
+///   [`ClusterRun::trace`] is pre-filtered to it; the owner drops a
+///   finished job's events with [`retire_job`](SharedFabric::retire_job);
 /// - **pacing**: each job gets its own emulated [`Nic`] token buckets
 ///   (from `nic_override` or the cluster default), so one tenant
 ///   saturating its egress budget stalls only its own sends.
@@ -351,9 +352,19 @@ impl SharedFabric {
         Arc::clone(&self.transports[rank])
     }
 
-    /// A snapshot of the full (all-jobs) trace recorded so far.
+    /// A snapshot of the full (all-jobs) trace recorded so far, less the
+    /// jobs already [retired](Self::retire_job).
     pub fn trace_snapshot(&self) -> Trace {
         self.trace.snapshot()
+    }
+
+    /// Drops job `id`'s transfer events from the fabric-wide trace. Call
+    /// it once the job's [`ClusterRun::trace`] has been taken and the job
+    /// will not run again: a resident fabric that retires each finished
+    /// job keeps a trace the size of its in-flight work, however many
+    /// jobs it has served.
+    pub fn retire_job(&self, id: u32) {
+        self.trace.retire(id);
     }
 
     /// A snapshot of the retained (all-jobs) stage spans.
@@ -508,7 +519,7 @@ impl SharedFabric {
             .collect();
         Ok(ClusterRun {
             results,
-            trace: self.trace.snapshot().for_job(binding.id),
+            trace: self.trace.snapshot_job(binding.id),
             spans: self.spans.snapshot().for_job(binding.id),
         })
     }

@@ -306,6 +306,28 @@ impl TraceCollector {
             events: inner.events.clone(),
         }
     }
+
+    /// Takes a snapshot of `job`'s events only — [`Trace::for_job`] of a
+    /// full snapshot, without copying any other job's events.
+    pub fn snapshot_job(&self, job: u32) -> Trace {
+        let inner = self.inner.lock();
+        Trace {
+            stages: inner.stages.clone(),
+            events: inner
+                .events
+                .iter()
+                .filter(|e| e.job == job)
+                .copied()
+                .collect(),
+        }
+    }
+
+    /// Drops every event recorded for `job`. A resident fabric calls this
+    /// once a job has finished, so the collector holds only the events of
+    /// jobs still in flight instead of everything it ever recorded.
+    pub fn retire(&self, job: u32) {
+        self.inner.lock().events.retain(|e| e.job != job);
+    }
 }
 
 #[cfg(test)]
@@ -404,5 +426,24 @@ mod tests {
         assert_eq!(j1.events[1].seq, 2);
         assert_eq!(t.for_job(2).stage_bytes("Shuffle"), 40);
         assert!(t.for_job(9).events.is_empty());
+    }
+
+    #[test]
+    fn job_snapshot_and_retire_touch_only_that_job() {
+        let c = TraceCollector::new(true);
+        let s = c.intern("Shuffle");
+        c.record_transfer_for(1, s, 0, 0b10, 100, 0, 1, EventKind::AppUnicast);
+        c.record_transfer_for(2, s, 1, 0b01, 40, 0, 1, EventKind::AppUnicast);
+        c.record_transfer_for(1, s, 1, 0b01, 60, 0, 1, EventKind::AppUnicast);
+        let j1 = c.snapshot_job(1);
+        assert_eq!(j1.events, c.snapshot().for_job(1).events);
+        assert_eq!(j1.stages, vec!["Shuffle".to_string()]);
+        c.retire(1);
+        let rest = c.snapshot();
+        assert_eq!(rest.jobs(), vec![2]);
+        assert!(c.snapshot_job(1).events.is_empty());
+        // Sequence numbers keep counting after a retire.
+        c.record_transfer_for(3, s, 0, 0b10, 8, 0, 1, EventKind::AppUnicast);
+        assert_eq!(c.snapshot_job(3).events[0].seq, 3);
     }
 }

@@ -47,7 +47,9 @@ pub mod workload;
 pub use driver::{run_coded_terasort, run_terasort, PartitionerKind, SortJob, SortRun};
 pub use partition::{KeyPartitioner, RangePartitioner, SampledPartitioner};
 pub use record::{KEY_LEN, RECORD_LEN, VALUE_LEN};
-pub use service::{JobKind, RemoteStatus, ResultDigest, ServiceClient, SortService};
+pub use service::{
+    is_evicted, JobKind, RemoteStatus, ResultDigest, ServiceClient, SortService, RESULT_CACHE_BYTES,
+};
 pub use sort::SortKernel;
 pub use validate::{validate, ValidationError};
 pub use workload::TeraSortWorkload;

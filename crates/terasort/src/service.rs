@@ -8,8 +8,13 @@
 //! ## Wire protocol
 //!
 //! Every message (both directions) is one length-prefixed frame: a `u32`
-//! little-endian payload length followed by the payload. Requests start
-//! with an opcode byte:
+//! little-endian payload length followed by the payload. Client and
+//! server share one `write_frame`: the sender builds prefix and payload
+//! in one buffer and hands it to the socket in a single write, and both
+//! ends set `TCP_NODELAY` on every connection. Split over two writes, a
+//! frame's second half waits behind Nagle's algorithm for the peer's
+//! delayed ACK (about 40 ms on Linux), a stall every request would pay.
+//! Requests start with an opcode byte:
 //!
 //! | op | request payload | OK response payload |
 //! |----|-----------------|---------------------|
@@ -25,22 +30,35 @@
 //! wordcount, 2 = grep (`pattern` required). `r ≤ 1` runs the uncoded
 //! engine, `r > 1` the coded engine at that redundancy. Responses lead
 //! with a status byte: `0x00` OK (payload follows), `0xFF` error (UTF-8
-//! message follows). A connection may issue any number of requests;
-//! closing it does not cancel submitted jobs.
+//! message follows), `0xFE` evicted (UTF-8 message follows; see below).
+//! A connection may issue any number of requests; closing it does not
+//! cancel submitted jobs.
+//!
+//! ## Result cache
+//!
+//! The first DIGEST, FETCH or TIMELINE of a finished job moves its
+//! outputs and rendered timeline from the runtime into the service's
+//! result cache, so any client can ask again. The cache holds at most
+//! [`RESULT_CACHE_BYTES`] of outputs plus timelines and evicts the
+//! least-recently-used jobs beyond that. A DIGEST, FETCH or TIMELINE
+//! for an evicted job is answered at once with `0xFE` (client side:
+//! [`is_evicted`]); STATUS still reports the job `Done`. Resubmitting
+//! the input recomputes the result. The cache's size shows as the
+//! `cts_result_cache_bytes`, `cts_result_cache_entries` and
+//! `cts_result_cache_evictions_total` metrics and a `cts stats` line.
 //!
 //! ## Introspection
 //!
 //! Besides the binary STATS frame, [`SortService::serve_metrics`] binds a
 //! second listener that answers any connection with a Prometheus
-//! text-format dump of the runtime's
-//! [`MetricsHub`](cts_core::metrics::MetricsHub) (a minimal hard-coded
-//! HTTP/1.1 200 — `curl http://addr/metrics` works, no HTTP stack
-//! involved). And [`SortService::run_until`] gives the daemon a graceful
+//! text-format dump of the runtime's [`MetricsHub`] (a minimal
+//! hard-coded HTTP/1.1 200 — `curl http://addr/metrics` works, no HTTP
+//! stack involved). And [`SortService::run_until`] gives the daemon a graceful
 //! drain: when the caller's stop flag rises (e.g. from SIGINT/SIGTERM),
 //! the service stops accepting connections and admitting jobs, finishes
 //! everything in flight, and returns cleanly.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,6 +66,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use cts_core::metrics::{Counter, Gauge, MetricsHub};
 use cts_mapreduce::grep::Grep;
 use cts_mapreduce::runtime::{JobRuntime, JobStatus, RuntimeConfig};
 use cts_mapreduce::wordcount::WordCount;
@@ -66,7 +85,23 @@ const OP_STATS: u8 = 0x06;
 const OP_TIMELINE: u8 = 0x07;
 
 const RESP_OK: u8 = 0x00;
+const RESP_EVICTED: u8 = 0xFE;
 const RESP_ERR: u8 = 0xFF;
+
+/// Byte budget of the service's result cache: finished jobs' outputs
+/// plus their rendered timelines. Least-recently-used jobs beyond it are
+/// evicted (see the module docs).
+pub const RESULT_CACHE_BYTES: usize = 64 << 20;
+
+/// How a [`ServiceClient`] error for an evicted result starts.
+const EVICTED_PREFIX: &str = "evicted:";
+
+/// True when `err`, returned by a [`ServiceClient`] call, is the
+/// service's typed answer for a job whose result left the result cache
+/// (the job finished; resubmit it to recompute).
+pub fn is_evicted(err: &str) -> bool {
+    err.starts_with(EVICTED_PREFIX)
+}
 
 /// What a submitted job runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -151,12 +186,25 @@ fn pct(sorted: &[u64], q: f64) -> u64 {
 
 // ---- framing ------------------------------------------------------------
 
-fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len())
+/// Bytes of the length prefix that opens every frame.
+const PREFIX: usize = 4;
+
+/// An empty frame: a zeroed length prefix, with room for `capacity`
+/// payload bytes to be appended after it.
+fn frame_buf(capacity: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(PREFIX + capacity);
+    frame.extend_from_slice(&[0; PREFIX]);
+    frame
+}
+
+/// Sends a frame built on [`frame_buf`]: fills in its length prefix and
+/// writes prefix and payload with one `write_all`, so no part of the frame
+/// waits behind Nagle's algorithm for the peer's delayed ACK.
+fn write_frame(stream: &mut TcpStream, frame: &mut [u8]) -> std::io::Result<()> {
+    let len = u32::try_from(frame.len() - PREFIX)
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "frame too large"))?;
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()
+    frame[..PREFIX].copy_from_slice(&len.to_le_bytes());
+    stream.write_all(frame)
 }
 
 /// Fills `buf` completely, tolerating read timeouts. Returns `Ok(false)`
@@ -243,42 +291,167 @@ struct JobRecord {
 
 type CachedRecord = Result<JobRecord, String>;
 
+impl JobRecord {
+    /// What the record counts against [`RESULT_CACHE_BYTES`].
+    fn bytes(&self) -> usize {
+        self.outputs.iter().map(Vec::len).sum::<usize>() + self.timeline.len()
+    }
+}
+
+/// Why a request got no OK answer.
+enum Refusal {
+    /// Any failure; the text goes back under `RESP_ERR`.
+    Error(String),
+    /// The job finished, but its result left the cache (`RESP_EVICTED`).
+    Evicted(u32),
+}
+
+impl From<String> for Refusal {
+    fn from(msg: String) -> Self {
+        Refusal::Error(msg)
+    }
+}
+
+impl From<&str> for Refusal {
+    fn from(msg: &str) -> Self {
+        Refusal::Error(msg.to_string())
+    }
+}
+
+struct CacheEntry {
+    record: CachedRecord,
+    bytes: usize,
+    /// Key of this entry in [`ResultCache::lru`].
+    last_use: u64,
+}
+
+/// Finished jobs' records under a byte budget, least recently used
+/// evicted first. Its size is exported on the fabric's metrics hub.
+struct ResultCache {
+    budget: usize,
+    entries: HashMap<u32, CacheEntry>,
+    /// Last-use tick → job id; the first key is the eviction victim.
+    lru: BTreeMap<u64, u32>,
+    tick: u64,
+    bytes: usize,
+    /// Jobs whose outcome a request is moving from the runtime into the
+    /// cache right now. Other requests for them wait on `Inner::moved`.
+    moving: HashSet<u32>,
+    bytes_gauge: Arc<Gauge>,
+    entries_gauge: Arc<Gauge>,
+    evictions: Arc<Counter>,
+}
+
+impl ResultCache {
+    fn new(budget: usize, hub: &MetricsHub) -> ResultCache {
+        ResultCache {
+            budget,
+            entries: HashMap::new(),
+            lru: BTreeMap::new(),
+            tick: 0,
+            bytes: 0,
+            moving: HashSet::new(),
+            bytes_gauge: hub.gauge("cts_result_cache_bytes"),
+            entries_gauge: hub.gauge("cts_result_cache_entries"),
+            evictions: hub.counter("cts_result_cache_evictions_total"),
+        }
+    }
+
+    /// The cached record of `id`, marked as just used.
+    fn get(&mut self, id: u32) -> Option<CachedRecord> {
+        let entry = self.entries.get_mut(&id)?;
+        self.tick += 1;
+        self.lru.remove(&entry.last_use);
+        self.lru.insert(self.tick, id);
+        entry.last_use = self.tick;
+        Some(entry.record.clone())
+    }
+
+    /// Caches `record` as the most recently used entry, then evicts the
+    /// least recently used ones (`record` too, if it alone is over
+    /// budget) until the cache fits its budget.
+    fn insert(&mut self, id: u32, record: CachedRecord) {
+        let bytes = match &record {
+            Ok(r) => r.bytes(),
+            Err(msg) => msg.len(),
+        };
+        self.tick += 1;
+        self.lru.insert(self.tick, id);
+        self.bytes += bytes;
+        let entry = CacheEntry {
+            record,
+            bytes,
+            last_use: self.tick,
+        };
+        // `record_of` moves each outcome once, so no job is cached twice.
+        let replaced = self.entries.insert(id, entry);
+        debug_assert!(replaced.is_none(), "job {id} cached twice");
+        while self.bytes > self.budget {
+            let (_, victim) = self.lru.pop_first().expect("a nonzero size has entries");
+            self.bytes -= self
+                .entries
+                .remove(&victim)
+                .expect("lru keys are entries")
+                .bytes;
+            self.evictions.inc();
+        }
+        self.bytes_gauge.set(self.bytes as i64);
+        self.entries_gauge.set(self.entries.len() as i64);
+    }
+}
+
 struct Inner {
     runtime: JobRuntime,
-    // Outcomes move from the runtime into this cache on first wait, so
-    // STATUS/DIGEST/FETCH/TIMELINE can be asked any number of times by
-    // any client.
-    results: parking_lot::Mutex<HashMap<u32, CachedRecord>>,
+    // Outcomes move from the runtime into this bounded cache on the first
+    // DIGEST/FETCH/TIMELINE, so those can be asked any number of times by
+    // any client until the job is evicted; STATUS asks the runtime.
+    results: parking_lot::Mutex<ResultCache>,
+    moved: parking_lot::Condvar,
     stop: AtomicBool,
 }
 
 impl Inner {
-    fn record_of(&self, id: u32) -> CachedRecord {
-        if let Some(cached) = self.results.lock().get(&id) {
-            return cached.clone();
+    fn record_of(&self, id: u32) -> Result<JobRecord, Refusal> {
+        let mut cache = self.results.lock();
+        loop {
+            if let Some(record) = cache.get(id) {
+                return record.map_err(Refusal::Error);
+            }
+            if !cache.moving.contains(&id) {
+                break;
+            }
+            self.moved.wait(&mut cache);
         }
-        let outcome = self
+        let status = self
             .runtime
-            .wait(id)
+            .status(id)
+            .ok_or_else(|| format!("unknown job id {id}"))?;
+        // Only this cache takes outcomes from the runtime, one request
+        // per job at a time, so a finished job whose outcome is gone was
+        // cached and then evicted.
+        let finished = if status.is_terminal() {
+            Some(self.runtime.take_outcome(id).ok_or(Refusal::Evicted(id))?)
+        } else {
+            None
+        };
+        cache.moving.insert(id);
+        drop(cache);
+        let record: CachedRecord = finished
+            .unwrap_or_else(|| self.runtime.wait(id))
             .map(|o| JobRecord {
                 timeline: Arc::new(cts_mapreduce::timeline::chrome_trace(&o, id)),
                 outputs: Arc::new(o.outputs),
             })
             .map_err(|e| e.to_string());
-        // Two clients can race into wait(); only one takes the outcome.
-        // The holder of the real result (or real failure) wins the cache;
-        // the loser's "already taken" error defers to whatever the winner
-        // stored.
-        let mut results = self.results.lock();
-        if outcome.is_ok() {
-            results.insert(id, outcome.clone());
-            outcome
-        } else {
-            results.entry(id).or_insert(outcome).clone()
-        }
+        let mut cache = self.results.lock();
+        cache.moving.remove(&id);
+        cache.insert(id, record.clone());
+        drop(cache);
+        self.moved.notify_all();
+        record.map_err(Refusal::Error)
     }
 
-    fn outputs_of(&self, id: u32) -> Result<Arc<Vec<Vec<u8>>>, String> {
+    fn outputs_of(&self, id: u32) -> Result<Arc<Vec<Vec<u8>>>, Refusal> {
         self.record_of(id).map(|r| r.outputs)
     }
 
@@ -312,6 +485,14 @@ impl Inner {
             hub.gauge("cts_admission_queue_capacity").get(),
             hub.counter("cts_jobs_refused_total").get(),
             hub.gauge("cts_slots_in_use").get(),
+        );
+        let _ = writeln!(
+            out,
+            "result cache: {} jobs, {:.1}/{} MiB, {} evicted",
+            hub.gauge("cts_result_cache_entries").get(),
+            hub.gauge("cts_result_cache_bytes").get() as f64 / (1 << 20) as f64,
+            RESULT_CACHE_BYTES >> 20,
+            hub.counter("cts_result_cache_evictions_total").get(),
         );
 
         let _ = writeln!(out);
@@ -413,7 +594,8 @@ impl Inner {
         Ok(handle.id())
     }
 
-    fn handle_request(&self, req: &[u8]) -> Result<Vec<u8>, String> {
+    /// Answers one request by appending the OK payload to `out`.
+    fn handle_request(&self, req: &[u8], out: &mut Vec<u8>) -> Result<(), Refusal> {
         let op = *req.first().ok_or("empty frame")?;
         match op {
             OP_SUBMIT => {
@@ -429,10 +611,10 @@ impl Inner {
                     0 => JobKind::Sort,
                     1 => JobKind::WordCount,
                     2 => JobKind::Grep(pattern),
-                    other => return Err(format!("unknown job kind {other}")),
+                    other => return Err(format!("unknown job kind {other}").into()),
                 };
                 let id = self.submit(kind, r, input)?;
-                Ok(id.to_le_bytes().to_vec())
+                out.extend_from_slice(&id.to_le_bytes());
             }
             OP_STATUS => {
                 let id = u32::from_le_bytes(take::<4>(req, 1)?);
@@ -440,7 +622,6 @@ impl Inner {
                     .runtime
                     .status(id)
                     .ok_or_else(|| format!("unknown job id {id}"))?;
-                let mut out = Vec::new();
                 match status {
                     JobStatus::Queued => out.push(0),
                     JobStatus::Running => out.push(1),
@@ -450,45 +631,38 @@ impl Inner {
                         out.extend_from_slice(msg.as_bytes());
                     }
                 }
-                Ok(out)
             }
             OP_DIGEST => {
                 let id = u32::from_le_bytes(take::<4>(req, 1)?);
                 let outputs = self.outputs_of(id)?;
                 let digest = ResultDigest::of(&outputs);
-                let mut out = Vec::with_capacity(4 + digest.partitions.len() * 16 + 8);
                 out.extend_from_slice(&(digest.partitions.len() as u32).to_le_bytes());
                 for (len, fnv) in &digest.partitions {
                     out.extend_from_slice(&len.to_le_bytes());
                     out.extend_from_slice(&fnv.to_le_bytes());
                 }
                 out.extend_from_slice(&digest.total.to_le_bytes());
-                Ok(out)
             }
             OP_FETCH => {
                 let id = u32::from_le_bytes(take::<4>(req, 1)?);
                 let outputs = self.outputs_of(id)?;
-                let total: usize = outputs.iter().map(|o| o.len() + 8).sum();
-                let mut out = Vec::with_capacity(4 + total);
+                out.reserve(4 + outputs.iter().map(|o| o.len() + 8).sum::<usize>());
                 out.extend_from_slice(&(outputs.len() as u32).to_le_bytes());
                 for o in outputs.iter() {
                     out.extend_from_slice(&(o.len() as u64).to_le_bytes());
                     out.extend_from_slice(o);
                 }
-                Ok(out)
             }
-            OP_STATS => Ok(self.render_stats().into_bytes()),
+            OP_STATS => out.extend_from_slice(self.render_stats().as_bytes()),
             OP_TIMELINE => {
                 let id = u32::from_le_bytes(take::<4>(req, 1)?);
                 let record = self.record_of(id)?;
-                Ok(record.timeline.as_bytes().to_vec())
+                out.extend_from_slice(record.timeline.as_bytes());
             }
-            OP_SHUTDOWN => {
-                self.stop.store(true, Ordering::SeqCst);
-                Ok(Vec::new())
-            }
-            other => Err(format!("unknown opcode {other:#04x}")),
+            OP_SHUTDOWN => self.stop.store(true, Ordering::SeqCst),
+            other => return Err(format!("unknown opcode {other:#04x}").into()),
         }
+        Ok(())
     }
 }
 
@@ -507,11 +681,13 @@ impl SortService {
     pub fn bind(addr: impl ToSocketAddrs, cfg: RuntimeConfig) -> Result<SortService, String> {
         let runtime = JobRuntime::start(cfg).map_err(|e| e.to_string())?;
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind: {e}"))?;
+        let results = ResultCache::new(RESULT_CACHE_BYTES, runtime.fabric().metrics());
         Ok(SortService {
             listener,
             inner: Arc::new(Inner {
                 runtime,
-                results: parking_lot::Mutex::new(HashMap::new()),
+                results: parking_lot::Mutex::new(results),
+                moved: parking_lot::Condvar::new(),
                 stop: AtomicBool::new(false),
             }),
             metrics_threads: Vec::new(),
@@ -584,6 +760,7 @@ impl SortService {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     stream.set_nonblocking(false).map_err(|e| e.to_string())?;
+                    stream.set_nodelay(true).map_err(|e| e.to_string())?;
                     let inner = Arc::clone(&self.inner);
                     handlers.push(std::thread::spawn(move || serve_connection(stream, &inner)));
                 }
@@ -622,18 +799,24 @@ fn serve_connection(mut stream: TcpStream, inner: &Inner) {
             Ok(Some(req)) => req,
             Ok(None) | Err(_) => return,
         };
-        let mut resp = Vec::new();
-        match inner.handle_request(&req) {
-            Ok(payload) => {
-                resp.push(RESP_OK);
-                resp.extend_from_slice(&payload);
-            }
-            Err(msg) => {
-                resp.push(RESP_ERR);
-                resp.extend_from_slice(msg.as_bytes());
-            }
+        let mut resp = frame_buf(1);
+        resp.push(RESP_OK);
+        if let Err(refusal) = inner.handle_request(&req, &mut resp) {
+            resp.truncate(PREFIX);
+            let (status, msg) = match refusal {
+                Refusal::Error(msg) => (RESP_ERR, msg),
+                Refusal::Evicted(id) => (
+                    RESP_EVICTED,
+                    format!(
+                        "job {id}'s result left the {} MiB result cache; resubmit it to recompute",
+                        RESULT_CACHE_BYTES >> 20
+                    ),
+                ),
+            };
+            resp.push(status);
+            resp.extend_from_slice(msg.as_bytes());
         }
-        if write_frame(&mut stream, &resp).is_err() {
+        if write_frame(&mut stream, &mut resp).is_err() {
             return;
         }
         if req.first() == Some(&OP_SHUTDOWN) {
@@ -670,14 +853,34 @@ impl ServiceClient {
         Ok(ServiceClient { stream })
     }
 
-    fn roundtrip(&mut self, req: &[u8]) -> Result<Vec<u8>, String> {
-        write_frame(&mut self.stream, req).map_err(|e| format!("send: {e}"))?;
-        let resp = read_frame(&mut self.stream, None)
+    /// A request frame for `op` with room for `capacity` more bytes.
+    fn request(op: u8, capacity: usize) -> Vec<u8> {
+        let mut req = frame_buf(1 + capacity);
+        req.push(op);
+        req
+    }
+
+    /// A request frame for `op` on job `id`.
+    fn job_request(op: u8, id: u32) -> Vec<u8> {
+        let mut req = Self::request(op, 4);
+        req.extend_from_slice(&id.to_le_bytes());
+        req
+    }
+
+    fn roundtrip(&mut self, mut req: Vec<u8>) -> Result<Vec<u8>, String> {
+        write_frame(&mut self.stream, &mut req).map_err(|e| format!("send: {e}"))?;
+        let mut resp = read_frame(&mut self.stream, None)
             .map_err(|e| format!("recv: {e}"))?
             .ok_or("service closed the connection")?;
-        match resp.split_first() {
-            Some((&RESP_OK, payload)) => Ok(payload.to_vec()),
-            Some((&RESP_ERR, msg)) => Err(String::from_utf8_lossy(msg).into_owned()),
+        let status = *resp.first().ok_or("malformed response")?;
+        resp.remove(0);
+        match status {
+            RESP_OK => Ok(resp),
+            RESP_ERR => Err(String::from_utf8_lossy(&resp).into_owned()),
+            RESP_EVICTED => Err(format!(
+                "{EVICTED_PREFIX} {}",
+                String::from_utf8_lossy(&resp)
+            )),
             _ => Err("malformed response".into()),
         }
     }
@@ -689,8 +892,7 @@ impl ServiceClient {
             _ => &[],
         };
         let r = u8::try_from(r).map_err(|_| "r exceeds 255".to_string())?;
-        let mut req = Vec::with_capacity(5 + pattern.len() + input.len());
-        req.push(OP_SUBMIT);
+        let mut req = Self::request(OP_SUBMIT, 4 + pattern.len() + input.len());
         req.push(kind.code());
         req.push(r);
         req.extend_from_slice(
@@ -700,15 +902,13 @@ impl ServiceClient {
         );
         req.extend_from_slice(pattern);
         req.extend_from_slice(input);
-        let resp = self.roundtrip(&req)?;
+        let resp = self.roundtrip(req)?;
         Ok(u32::from_le_bytes(take::<4>(&resp, 0)?))
     }
 
     /// Polls a job's status.
     pub fn status(&mut self, id: u32) -> Result<RemoteStatus, String> {
-        let mut req = vec![OP_STATUS];
-        req.extend_from_slice(&id.to_le_bytes());
-        let resp = self.roundtrip(&req)?;
+        let resp = self.roundtrip(Self::job_request(OP_STATUS, id))?;
         match resp.split_first() {
             Some((0, _)) => Ok(RemoteStatus::Queued),
             Some((1, _)) => Ok(RemoteStatus::Running),
@@ -722,9 +922,7 @@ impl ServiceClient {
 
     /// Blocks until the job finishes and returns its result digest.
     pub fn digest(&mut self, id: u32) -> Result<ResultDigest, String> {
-        let mut req = vec![OP_DIGEST];
-        req.extend_from_slice(&id.to_le_bytes());
-        let resp = self.roundtrip(&req)?;
+        let resp = self.roundtrip(Self::job_request(OP_DIGEST, id))?;
         let parts = u32::from_le_bytes(take::<4>(&resp, 0)?) as usize;
         let mut partitions = Vec::with_capacity(parts);
         let mut at = 4;
@@ -741,9 +939,7 @@ impl ServiceClient {
     /// Blocks until the job finishes and returns the full per-partition
     /// outputs.
     pub fn fetch(&mut self, id: u32) -> Result<Vec<Vec<u8>>, String> {
-        let mut req = vec![OP_FETCH];
-        req.extend_from_slice(&id.to_le_bytes());
-        let resp = self.roundtrip(&req)?;
+        let resp = self.roundtrip(Self::job_request(OP_FETCH, id))?;
         let parts = u32::from_le_bytes(take::<4>(&resp, 0)?) as usize;
         let mut outputs = Vec::with_capacity(parts);
         let mut at = 4;
@@ -764,7 +960,7 @@ impl ServiceClient {
     /// admission/slot gauges, the cross-job stage-latency summary
     /// (p50/p99/max), and a per-job stage/NIC breakdown.
     pub fn stats(&mut self) -> Result<String, String> {
-        let resp = self.roundtrip(&[OP_STATS])?;
+        let resp = self.roundtrip(Self::request(OP_STATS, 0))?;
         Ok(String::from_utf8_lossy(&resp).into_owned())
     }
 
@@ -772,15 +968,13 @@ impl ServiceClient {
     /// as Chrome trace-event JSON (load it in `chrome://tracing` or
     /// Perfetto).
     pub fn timeline(&mut self, id: u32) -> Result<String, String> {
-        let mut req = vec![OP_TIMELINE];
-        req.extend_from_slice(&id.to_le_bytes());
-        let resp = self.roundtrip(&req)?;
+        let resp = self.roundtrip(Self::job_request(OP_TIMELINE, id))?;
         Ok(String::from_utf8_lossy(&resp).into_owned())
     }
 
     /// Asks the service to stop accepting and shut down.
     pub fn shutdown(&mut self) -> Result<(), String> {
-        self.roundtrip(&[OP_SHUTDOWN]).map(|_| ())
+        self.roundtrip(Self::request(OP_SHUTDOWN, 0)).map(|_| ())
     }
 }
 
@@ -851,6 +1045,58 @@ mod tests {
         let mut client = ServiceClient::connect(addr).unwrap();
         assert!(client.status(777).is_err());
         assert!(client.digest(777).is_err());
+        client.shutdown().unwrap();
+        server.join().unwrap();
+    }
+
+    fn record(bytes: usize) -> CachedRecord {
+        Ok(JobRecord {
+            outputs: Arc::new(vec![vec![0; bytes]]),
+            timeline: Arc::new(String::new()),
+        })
+    }
+
+    #[test]
+    fn result_cache_evicts_least_recently_used_first() {
+        let hub = MetricsHub::new();
+        let mut cache = ResultCache::new(30, &hub);
+        for id in 1..=3 {
+            cache.insert(id, record(10));
+        }
+        assert!(cache.get(1).is_some()); // job 2 is now the oldest use
+        cache.insert(4, record(10));
+        assert!(cache.get(2).is_none());
+        for id in [1, 3, 4] {
+            assert!(cache.get(id).is_some(), "job {id}");
+        }
+        // A record over the whole budget evicts everything, itself too.
+        cache.insert(5, record(31));
+        assert!(cache.entries.is_empty() && cache.lru.is_empty());
+        assert_eq!(hub.gauge("cts_result_cache_bytes").get(), 0);
+        assert_eq!(hub.gauge("cts_result_cache_entries").get(), 0);
+        assert_eq!(hub.counter("cts_result_cache_evictions_total").get(), 5);
+    }
+
+    #[test]
+    fn simultaneous_digests_of_one_job_all_get_the_result() {
+        let (addr, server) = service(3, 2, 2);
+        let input = generate(400, 7);
+        let id = ServiceClient::connect(addr)
+            .unwrap()
+            .submit(&JobKind::Sort, 2, &input)
+            .unwrap();
+        let digests: Vec<Result<ResultDigest, String>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| ServiceClient::connect(addr)?.digest(id)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let local =
+            crate::driver::run_terasort(input, &crate::driver::SortJob::local(3, 1)).unwrap();
+        for digest in digests {
+            assert_eq!(digest.unwrap(), ResultDigest::of(&local.outcome.outputs));
+        }
+        let mut client = ServiceClient::connect(addr).unwrap();
         client.shutdown().unwrap();
         server.join().unwrap();
     }

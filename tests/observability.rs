@@ -3,7 +3,8 @@
 //! *accounting*, not just the bytes), the daemon must answer STATS and
 //! serve a Prometheus dump mid-flight, the TIMELINE frame must be
 //! Chrome trace-event JSON whose per-stage extents agree with the span
-//! log's own accounting, and `run_until` must drain gracefully.
+//! log's own accounting, `run_until` must drain gracefully, and a
+//! resident runtime's fabric-wide trace must not grow with jobs served.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -100,6 +101,64 @@ fn concurrent_job_traces_and_spans_separate_cleanly() {
     for id in &ids {
         assert!(all.jobs().contains(id), "job {id} missing from shared log");
     }
+    runtime.shutdown();
+}
+
+/// A resident runtime's fabric-wide trace holds only in-flight jobs: after
+/// 500 jobs have finished it is empty, while every outcome still carries
+/// its own trace with the shuffle accounting of a one-shot run.
+#[test]
+fn resident_trace_is_empty_once_every_job_finished() {
+    const JOBS: usize = 500;
+    let (k, r) = (3usize, 2usize);
+    let inputs: Vec<Bytes> = (0..4)
+        .map(|i| teragen::generate(60 + 20 * i, i as u64))
+        .collect();
+    let one_shot: Vec<u64> = inputs
+        .iter()
+        .map(|input| {
+            run_coded(
+                &TeraSortWorkload::range(k),
+                input.clone(),
+                &EngineConfig::local(k, r),
+            )
+            .unwrap()
+            .trace
+            .stage_bytes(stages::SHUFFLE)
+        })
+        .collect();
+
+    let runtime = JobRuntime::start(
+        RuntimeConfig::new(EngineConfig::local(k, r))
+            .with_max_concurrent(4)
+            .with_queue_capacity(JOBS),
+    )
+    .unwrap();
+    let handles: Vec<_> = (0..JOBS)
+        .map(|j| {
+            let input = inputs[j % inputs.len()].clone();
+            runtime
+                .submit(move |ctx| ctx.run_coded(&TeraSortWorkload::range(ctx.cfg.k), input))
+                .unwrap()
+        })
+        .collect();
+    for (j, handle) in handles.into_iter().enumerate() {
+        let id = handle.id();
+        let outcome = handle.wait().unwrap();
+        assert_eq!(outcome.trace.jobs(), vec![id]);
+        assert_eq!(
+            outcome.trace.stage_bytes(stages::SHUFFLE),
+            one_shot[j % inputs.len()],
+            "job {id}"
+        );
+    }
+    let resident = runtime.fabric().trace_snapshot();
+    assert!(
+        resident.events.is_empty(),
+        "{} events of {} jobs left behind",
+        resident.events.len(),
+        resident.jobs().len()
+    );
     runtime.shutdown();
 }
 
