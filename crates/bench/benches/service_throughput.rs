@@ -145,7 +145,7 @@ fn drive(
 ) -> Row {
     let mut template = EngineConfig::local(K, R);
     if !observability {
-        template.cluster = template.cluster.with_trace(false).with_spans(false);
+        template.cluster = template.cluster.with_trace(false);
     }
     let cfg = RuntimeConfig::new(template)
         .with_max_concurrent(4)

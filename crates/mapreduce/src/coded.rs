@@ -44,7 +44,7 @@ use cts_netsim::stats::{NodeStats, RunStats};
 
 use crate::error::{EngineError, JobReport, Result};
 use crate::recover::{adopt_dead_partitions, alive_sync, CrashPanic, RecoveryAbort};
-use crate::stage::{stages, EngineConfig, NodeWall, RecoveryMode, StageTimer, WallTimes};
+use crate::stage::{stages, EngineConfig, RecoveryMode, WallTimes};
 use crate::uncoded::JobOutcome;
 use crate::workload::Workload;
 
@@ -184,7 +184,7 @@ pub fn run_coded_on<W: Workload>(
     let mut outputs: Vec<Option<Vec<u8>>> = (0..k).map(|_| None).collect();
     let mut stats = RunStats::new(k, r);
     stats.num_groups = groups.num_groups();
-    let mut walls = Vec::with_capacity(k);
+    let mut finished = vec![false; k];
     let mut adopted_all: Vec<(usize, Vec<u8>)> = Vec::new();
     for (rank, result) in run.results.into_iter().enumerate() {
         match result? {
@@ -192,11 +192,10 @@ pub fn run_coded_on<W: Workload>(
                 output,
                 adopted,
                 stats: node_stats,
-                wall,
             } => {
                 outputs[rank] = Some(output);
                 stats.per_node[rank] = node_stats;
-                walls.push(wall);
+                finished[rank] = true;
                 adopted_all.extend(adopted);
             }
             // A crash-injected rank's slot is filled below by its
@@ -221,8 +220,8 @@ pub fn run_coded_on<W: Workload>(
         outputs,
         stats,
         trace: run.trace,
+        wall: WallTimes::from_spans(&run.spans, |rank| finished[rank]),
         spans: run.spans,
-        wall: WallTimes::aggregate(&walls),
     })
 }
 
@@ -268,7 +267,6 @@ enum NodeOutcome {
         output: Vec<u8>,
         adopted: Vec<(usize, Vec<u8>)>,
         stats: NodeStats,
-        wall: NodeWall,
     },
     Crashed,
 }
@@ -419,7 +417,6 @@ fn node_main<W: Workload>(
     let r = cfg.r;
     let me = comm.rank();
     let mut stats = NodeStats::default();
-    let mut wall = NodeWall::default();
     let pool = cfg.worker_pool();
     // Live decode progress: one tick per decoded packet, readable mid-job
     // through the daemon's metric registry (`cts stats`, `/metrics`).
@@ -450,7 +447,6 @@ fn node_main<W: Workload>(
 
     // ---- CodeGen -------------------------------------------------------
     comm.set_stage(stages::CODEGEN);
-    let timer = StageTimer::start();
     let plan = PlacementPlan::new(k, r).expect("validated by driver");
     let groups = MulticastGroups::new(k, r).expect("validated by driver");
     // Materialize the global schedule: every group with its sorted member
@@ -459,12 +455,10 @@ fn node_main<W: Workload>(
         .iter_groups()
         .map(|(gid, m)| (gid.0, m, m.to_vec()))
         .collect();
-    wall.codegen = timer.stop();
     ctx.sync(comm)?;
 
     // ---- Map -----------------------------------------------------------
     comm.set_stage(stages::MAP);
-    let timer = StageTimer::start();
     let mut store = MapOutputStore::new();
     // Files hash independently: fan the per-file Map out over the worker
     // pool (results come back in file order, so the store contents are
@@ -481,7 +475,6 @@ fn node_main<W: Workload>(
             }
         }
     }
-    wall.map = timer.stop();
     if maybe_crash(cfg, me, CrashPoint::MidMap, &mut ctx) {
         return Ok(NodeOutcome::Crashed);
     }
@@ -489,7 +482,6 @@ fn node_main<W: Workload>(
 
     // ---- Encode (Algorithm 1) -------------------------------------------
     comm.set_stage(stages::PACK_ENCODE);
-    let timer = StageTimer::start();
     // Calibration convention: Encode cost covers serializing/splitting all
     // kept intermediates (the XOR is folded into the calibrated rate).
     stats.pack_bytes = store.total_bytes();
@@ -539,7 +531,6 @@ fn node_main<W: Workload>(
         let (gid, wire, overhead) = item?;
         my_packets.insert(gid, (wire, overhead));
     }
-    wall.pack_encode = timer.stop();
     if maybe_crash(cfg, me, CrashPoint::MidEncode, &mut ctx) {
         return Ok(NodeOutcome::Crashed);
     }
@@ -556,7 +547,6 @@ fn node_main<W: Workload>(
     // order; otherwise packets are buffered for the separate Decode stage,
     // as the paper executes.
     comm.set_stage(stages::SHUFFLE);
-    let timer = StageTimer::start();
     let mut pipeline = DecodePipeline::with_field(k, r, me, cfg.field)
         .expect("validated by driver")
         .with_decode(cfg.decode);
@@ -694,11 +684,10 @@ fn node_main<W: Workload>(
             }
         }
         ctx.sync(comm)?;
-        wall.shuffle = timer.stop();
 
-        let timer = StageTimer::start();
+        // Decode ran inline in the quorum loop: this stage holds only its
+        // closing sync.
         comm.set_stage(stages::UNPACK_DECODE);
-        wall.unpack_decode = timer.stop();
         ctx.sync(comm)?;
         if maybe_crash(cfg, me, CrashPoint::PreReduce, &mut ctx) {
             return Ok(NodeOutcome::Crashed);
@@ -714,7 +703,6 @@ fn node_main<W: Workload>(
             store,
             recovered,
             stats,
-            wall,
             &mut ctx,
             Some(fin),
         );
@@ -756,11 +744,9 @@ fn node_main<W: Workload>(
         return Ok(NodeOutcome::Crashed);
     }
     ctx.sync(comm)?;
-    wall.shuffle = timer.stop();
 
     // ---- Decode (Algorithm 2) --------------------------------------------
     comm.set_stage(stages::UNPACK_DECODE);
-    let timer = StageTimer::start();
     if pool.threads() > 1 && received.len() > 1 {
         // Packets decode independently (Algorithm 2 is per-packet XOR
         // cancellation); only the final segment assembly is sequential.
@@ -842,14 +828,13 @@ fn node_main<W: Workload>(
             ),
         });
     }
-    wall.unpack_decode = timer.stop();
     ctx.sync(comm)?;
 
     if maybe_crash(cfg, me, CrashPoint::PreReduce, &mut ctx) {
         return Ok(NodeOutcome::Crashed);
     }
     finish_reduce(
-        workload, comm, &pool, store, recovered, stats, wall, &mut ctx, None,
+        workload, comm, &pool, store, recovered, stats, &mut ctx, None,
     )
 }
 
@@ -860,8 +845,8 @@ fn node_main<W: Workload>(
 /// In recovery mode this is also where speculative re-execution happens:
 /// the pre-reduce alive-sync fixes the canonical dead set, survivors
 /// rebuild each dead rank's partition on its successor
-/// ([`adopt_dead_partitions`]), and the recovery wall-clock folds into
-/// the Reduce stage.
+/// ([`adopt_dead_partitions`]), under the `Recover` stage whose span
+/// [`WallTimes::from_spans`] folds into the Reduce wall.
 #[allow(clippy::too_many_arguments)]
 fn finish_reduce<W: Workload>(
     workload: &W,
@@ -870,13 +855,11 @@ fn finish_reduce<W: Workload>(
     mut store: MapOutputStore,
     recovered: Vec<(NodeSet, Vec<u8>)>,
     mut stats: NodeStats,
-    mut wall: NodeWall,
     ctx: &mut SyncCtx,
     recovery: Option<RecoveryFinish<'_>>,
 ) -> NodeResult {
     let me = comm.rank();
     let k = comm.world_size();
-    let timer = StageTimer::start();
     let mut adopted: Vec<(usize, Vec<u8>)> = Vec::new();
     if let SyncCtx::Recover(rec) = &mut *ctx {
         let fin = recovery.expect("recovery mode implies the quorum path");
@@ -916,14 +899,12 @@ fn finish_reduce<W: Workload>(
     }
     stats.reduce_input_bytes = partition_data.len() as u64;
     let output = workload.reduce_par(me, &partition_data, pool);
-    wall.reduce = timer.stop();
     ctx.sync(comm)?;
 
     Ok(NodeOutcome::Finished {
         output,
         adopted,
         stats,
-        wall,
     })
 }
 

@@ -13,8 +13,9 @@
 //! TeraSort lives in `cts-terasort`; [`wordcount::WordCount`],
 //! [`grep::Grep`] and [`invindex::InvertedIndex`] here realize the paper's
 //! §VI "beyond sorting" direction. Engines return a
-//! [`uncoded::JobOutcome`]: per-partition outputs, a transfer trace, wall
-//! times, and the [`cts_netsim::RunStats`] the performance model consumes.
+//! [`uncoded::JobOutcome`]: per-partition outputs, a transfer trace, the
+//! stage spans and the stage walls derived from them, and the
+//! [`cts_netsim::RunStats`] the performance model consumes.
 //!
 //! ```
 //! use bytes::Bytes;

@@ -31,7 +31,7 @@ use cts_net::message::Tag;
 use cts_netsim::stats::{NodeStats, RunStats};
 
 use crate::error::{EngineError, Result};
-use crate::stage::{stages, EngineConfig, NodeWall, StageTimer, WallTimes};
+use crate::stage::{stages, EngineConfig, WallTimes};
 use crate::uncoded::JobOutcome;
 use crate::workload::Workload;
 
@@ -106,19 +106,17 @@ pub fn run_coded_pods<W: Workload>(
     let mut outputs = Vec::with_capacity(k);
     let mut stats = RunStats::new(k, r);
     stats.num_groups = num_pods as u64 * local_groups.num_groups();
-    let mut walls = Vec::with_capacity(k);
     for (rank, result) in run.results.into_iter().enumerate() {
-        let (output, node_stats, wall) = result?;
+        let (output, node_stats) = result?;
         outputs.push(output);
         stats.per_node[rank] = node_stats;
-        walls.push(wall);
     }
     Ok(JobOutcome {
         outputs,
         stats,
         trace: run.trace,
+        wall: WallTimes::from_spans(&run.spans, |_| true),
         spans: run.spans,
-        wall: WallTimes::aggregate(&walls),
     })
 }
 
@@ -140,7 +138,7 @@ fn globalize(local: NodeSet, pod: usize, g: usize) -> NodeSet {
     NodeSet::from_bits(local.bits() << (pod * g))
 }
 
-type NodeResult = Result<(Vec<u8>, NodeStats, NodeWall)>;
+type NodeResult = Result<(Vec<u8>, NodeStats)>;
 
 fn pod_node_main<W: Workload>(
     workload: &W,
@@ -155,11 +153,9 @@ fn pod_node_main<W: Workload>(
     let my_pod = me / g;
     let my_local = me % g;
     let mut stats = NodeStats::default();
-    let mut wall = NodeWall::default();
 
     // ---- CodeGen: pod-local plan + groups -------------------------------
     comm.set_stage(stages::CODEGEN);
-    let timer = StageTimer::start();
     let plan = PlacementPlan::new(g, r).expect("validated");
     let groups = MulticastGroups::new(g, r).expect("validated");
     let groups_per_pod = groups.num_groups();
@@ -170,7 +166,6 @@ fn pod_node_main<W: Workload>(
             (gid.0, global, global.to_vec())
         })
         .collect();
-    wall.codegen = timer.stop();
     comm.barrier()?;
 
     // ---- Map -------------------------------------------------------------
@@ -179,7 +174,6 @@ fn pod_node_main<W: Workload>(
     //  * out-pod target t: kept only by the file's lowest-ranked holder
     //    (the designated cross-pod sender).
     comm.set_stage(stages::MAP);
-    let timer = StageTimer::start();
     let mut store = MapOutputStore::new(); // keyed by *global* file sets
     let mut cross_outbox: Vec<(u64, usize, Bytes)> = Vec::new(); // (file bits, target, data)
     for (fid, data) in &my_files {
@@ -199,12 +193,10 @@ fn pod_node_main<W: Workload>(
             }
         }
     }
-    wall.map = timer.stop();
     comm.barrier()?;
 
     // ---- Encode (in-pod packets) -----------------------------------------
     comm.set_stage(stages::PACK_ENCODE);
-    let timer = StageTimer::start();
     stats.pack_bytes = store.total_bytes()
         + cross_outbox
             .iter()
@@ -245,7 +237,6 @@ fn pod_node_main<W: Workload>(
         buf.put_slice(&data);
         framed_cross.push((t, buf.freeze()));
     }
-    wall.pack_encode = timer.stop();
     comm.barrier()?;
 
     // ---- Shuffle: in-pod coded multicast, then cross-pod unicast -------
@@ -255,7 +246,6 @@ fn pod_node_main<W: Workload>(
     // schedule instead (senders in rank order, plus a barrier per
     // cross-pod turn). Receives drain in schedule order either way.
     comm.set_stage(stages::SHUFFLE);
-    let timer = StageTimer::start();
     let strict = cfg.strict_serial_shuffle;
     let mut send_packet = |gid: u64, member_list: &[usize], stats: &mut NodeStats| -> Result<()> {
         let (payload, header) = my_packets.remove(&gid).expect("one packet per owned group");
@@ -324,11 +314,9 @@ fn pod_node_main<W: Workload>(
         }
     }
     comm.barrier()?;
-    wall.shuffle = timer.stop();
 
     // ---- Decode -----------------------------------------------------------
     comm.set_stage(stages::UNPACK_DECODE);
-    let timer = StageTimer::start();
     let mut pipeline = DecodePipeline::with_field(g, r, my_local, cfg.field).expect("validated");
     let mut packet = CodedPacket::empty();
     let mut recovered: Vec<(u64, Bytes)> = Vec::new(); // (global file bits, data)
@@ -359,12 +347,10 @@ fn pod_node_main<W: Workload>(
         let bits = u64::from_le_bytes(raw[..8].try_into().expect("8 bytes"));
         recovered.push((bits, raw.slice(8..)));
     }
-    wall.unpack_decode = timer.stop();
     comm.barrier()?;
 
     // ---- Reduce -----------------------------------------------------------
     comm.set_stage(stages::REDUCE);
-    let timer = StageTimer::start();
     let mut pieces: Vec<(u64, Bytes)> = store
         .take_for_target(my_local)
         .into_iter()
@@ -379,10 +365,9 @@ fn pod_node_main<W: Workload>(
     }
     stats.reduce_input_bytes = partition_data.len() as u64;
     let output = workload.reduce(me, &partition_data);
-    wall.reduce = timer.stop();
     comm.barrier()?;
 
-    Ok((output, stats, wall))
+    Ok((output, stats))
 }
 
 /// Adapter exposing the pod-global store under pod-local node ids, as the

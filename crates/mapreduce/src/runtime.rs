@@ -225,17 +225,9 @@ impl RuntimeMetrics {
         match outcome {
             Ok(o) => {
                 self.completed.inc();
-                let w = &o.wall.max;
+                let mut w = o.wall.max;
                 for (name, hist) in &self.stage_hists {
-                    let d = match *name {
-                        crate::stage::stages::CODEGEN => w.codegen,
-                        crate::stage::stages::MAP => w.map,
-                        crate::stage::stages::PACK_ENCODE => w.pack_encode,
-                        crate::stage::stages::SHUFFLE => w.shuffle,
-                        crate::stage::stages::UNPACK_DECODE => w.unpack_decode,
-                        _ => w.reduce,
-                    };
-                    if !d.is_zero() {
+                    if let Some(d) = w.stage_mut(name).filter(|d| !d.is_zero()) {
                         hist.record(d.as_nanos() as u64);
                     }
                 }

@@ -1,7 +1,8 @@
-//! Stage names, wall-clock timing, and engine configuration.
+//! Stage names, per-stage walls derived from a job's stage spans, and
+//! engine configuration.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cts_core::decode::DecodeMode;
 use cts_core::exec::{Budget, WorkerPool};
@@ -10,6 +11,7 @@ use cts_net::cluster::ClusterConfig;
 use cts_net::fabric::ShuffleFabric;
 use cts_net::fault::CrashSpec;
 use cts_net::rate::NicProfile;
+use cts_net::span::SpanLog;
 
 /// Canonical stage labels (also used as trace stage names).
 pub mod stages {
@@ -61,6 +63,11 @@ impl std::str::FromStr for RecoveryMode {
 }
 
 /// Measured wall-clock stage durations for one node.
+///
+/// Each stage is timed by the rank's stage span: it runs from the stage's
+/// [`set_stage`](cts_net::Communicator::set_stage) up to the next one, so
+/// it includes the barrier that ends it — the wait for the slowest rank
+/// lands in the stage that waited.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeWall {
     /// CodeGen duration.
@@ -73,7 +80,7 @@ pub struct NodeWall {
     pub shuffle: Duration,
     /// Unpack/Decode duration.
     pub unpack_decode: Duration,
-    /// Reduce duration.
+    /// Reduce duration, including any speculative-recovery stage.
     pub reduce: Duration,
 }
 
@@ -81,6 +88,20 @@ impl NodeWall {
     /// Sum of all stages.
     pub fn total(&self) -> Duration {
         self.codegen + self.map + self.pack_encode + self.shuffle + self.unpack_decode + self.reduce
+    }
+
+    /// The field the named stage's time accrues to: `Recover` folds into
+    /// `reduce`; a stage outside the engine set has none.
+    pub fn stage_mut(&mut self, name: &str) -> Option<&mut Duration> {
+        Some(match name {
+            stages::CODEGEN => &mut self.codegen,
+            stages::MAP => &mut self.map,
+            stages::PACK_ENCODE => &mut self.pack_encode,
+            stages::SHUFFLE => &mut self.shuffle,
+            stages::UNPACK_DECODE => &mut self.unpack_decode,
+            stages::REDUCE | stages::RECOVER => &mut self.reduce,
+            _ => return None,
+        })
     }
 }
 
@@ -93,10 +114,21 @@ pub struct WallTimes {
 }
 
 impl WallTimes {
-    /// Aggregates per-node measurements.
-    pub fn aggregate(nodes: &[NodeWall]) -> Self {
+    /// Derives a job's stage walls from its span log: each rank's spans
+    /// are summed per stage into a [`NodeWall`], then the slowest rank
+    /// per stage is taken. Ranks for which `counted` is false (crashed
+    /// ranks, whose work did not survive) are left out. A job recorded
+    /// with tracing off has no spans, and its walls read zero.
+    pub fn from_spans(log: &SpanLog, counted: impl Fn(usize) -> bool) -> Self {
+        let ranks = log.spans.iter().map(|s| s.rank as usize + 1).max();
+        let mut nodes = vec![NodeWall::default(); ranks.unwrap_or(0)];
+        for s in log.spans.iter().filter(|s| counted(s.rank as usize)) {
+            if let Some(d) = nodes[s.rank as usize].stage_mut(log.stage_name(s.stage)) {
+                *d += Duration::from_nanos(s.dur_ns());
+            }
+        }
         let mut max = NodeWall::default();
-        for n in nodes {
+        for n in &nodes {
             max.codegen = max.codegen.max(n.codegen);
             max.map = max.map.max(n.map);
             max.pack_encode = max.pack_encode.max(n.pack_encode);
@@ -105,25 +137,6 @@ impl WallTimes {
             max.reduce = max.reduce.max(n.reduce);
         }
         WallTimes { max }
-    }
-}
-
-/// A simple scoped stopwatch.
-pub struct StageTimer {
-    started: Instant,
-}
-
-impl StageTimer {
-    /// Starts timing.
-    pub fn start() -> Self {
-        StageTimer {
-            started: Instant::now(),
-        }
-    }
-
-    /// Stops and returns the elapsed duration.
-    pub fn stop(self) -> Duration {
-        self.started.elapsed()
     }
 }
 
@@ -353,20 +366,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wall_aggregate_takes_maxima() {
-        let a = NodeWall {
-            map: Duration::from_millis(10),
-            reduce: Duration::from_millis(5),
-            ..Default::default()
+    fn walls_from_spans_sum_per_rank_then_take_the_slowest() {
+        use cts_net::span::StageSpan;
+        let names = [stages::MAP, stages::RECOVER, stages::REDUCE, "init"];
+        let span = |rank: u16, stage: u16, start_ms: u64, end_ms: u64| StageSpan {
+            job: 7,
+            rank,
+            stage,
+            start_ns: start_ms * 1_000_000,
+            end_ns: end_ms * 1_000_000,
         };
-        let b = NodeWall {
-            map: Duration::from_millis(3),
-            reduce: Duration::from_millis(9),
-            ..Default::default()
+        let log = SpanLog {
+            names: names.iter().map(|n| n.to_string()).collect(),
+            spans: vec![
+                span(0, 0, 0, 10),  // rank 0 Map 10 ms
+                span(1, 0, 0, 3),   // rank 1 Map 3 ms
+                span(0, 2, 10, 15), // rank 0 Reduce 5 ms
+                span(1, 1, 3, 7),   // rank 1 Recover 4 ms …
+                span(1, 2, 7, 12),  // … + Reduce 5 ms = 9 ms
+                span(2, 0, 0, 50),  // rank 2 (crashed) Map 50 ms
+                span(0, 3, 15, 99), // a stage outside the engine set
+            ],
         };
-        let w = WallTimes::aggregate(&[a, b]);
+        let w = WallTimes::from_spans(&log, |rank| rank != 2);
         assert_eq!(w.max.map, Duration::from_millis(10));
         assert_eq!(w.max.reduce, Duration::from_millis(9));
+        assert_eq!(w.max.shuffle, Duration::ZERO);
+        assert_eq!(w.max.total(), Duration::from_millis(19));
+        // Counting the crashed rank too, its Map is the slowest.
+        let all = WallTimes::from_spans(&log, |_| true);
+        assert_eq!(all.max.map, Duration::from_millis(50));
+        // No spans (recording off): every wall reads zero.
+        let none = WallTimes::from_spans(&SpanLog::default(), |_| true);
+        assert_eq!(none, WallTimes::default());
     }
 
     #[test]
@@ -403,12 +435,5 @@ mod tests {
         assert_eq!("speculative".parse(), Ok(RecoveryMode::Speculative));
         assert_eq!("off".parse(), Ok(RecoveryMode::Off));
         assert!("on".parse::<RecoveryMode>().is_err());
-    }
-
-    #[test]
-    fn timer_measures_something() {
-        let t = StageTimer::start();
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(t.stop() >= Duration::from_millis(4));
     }
 }

@@ -24,7 +24,7 @@ use cts_net::trace::Trace;
 use cts_netsim::stats::{NodeStats, RunStats};
 
 use crate::error::{EngineError, Result};
-use crate::stage::{stages, EngineConfig, NodeWall, StageTimer, WallTimes};
+use crate::stage::{stages, EngineConfig, WallTimes};
 use crate::workload::Workload;
 
 /// The result of an engine run.
@@ -38,7 +38,8 @@ pub struct JobOutcome {
     pub trace: Trace,
     /// Recorded per-rank stage spans (the timeline's raw material).
     pub spans: SpanLog,
-    /// Measured wall-clock stage times (slowest node per stage).
+    /// Measured wall-clock stage times (slowest node per stage), derived
+    /// from `spans`.
     pub wall: WallTimes,
 }
 
@@ -100,23 +101,21 @@ pub fn run_uncoded_on<W: Workload>(
 
     let mut outputs = Vec::with_capacity(k);
     let mut stats = RunStats::new(k, 1);
-    let mut walls = Vec::with_capacity(k);
     for (rank, result) in run.results.into_iter().enumerate() {
-        let (output, node_stats, wall) = result?;
+        let (output, node_stats) = result?;
         outputs.push(output);
         stats.per_node[rank] = node_stats;
-        walls.push(wall);
     }
     Ok(JobOutcome {
         outputs,
         stats,
         trace: run.trace,
+        wall: WallTimes::from_spans(&run.spans, |_| true),
         spans: run.spans,
-        wall: WallTimes::aggregate(&walls),
     })
 }
 
-type NodeResult = Result<(Vec<u8>, NodeStats, NodeWall)>;
+type NodeResult = Result<(Vec<u8>, NodeStats)>;
 
 fn node_main<W: Workload>(
     workload: &W,
@@ -127,22 +126,18 @@ fn node_main<W: Workload>(
     let k = comm.world_size();
     let me = comm.rank();
     let mut stats = NodeStats::default();
-    let mut wall = NodeWall::default();
     let pool = cfg.worker_pool();
 
     // ---- Map ----------------------------------------------------------
     comm.set_stage(stages::MAP);
-    let timer = StageTimer::start();
     stats.map_input_bytes = file.len() as u64;
     stats.files_mapped = 1;
     let intermediates = workload.map_file_par(&file, k, &pool);
     debug_assert_eq!(intermediates.len(), k);
-    wall.map = timer.stop();
     comm.barrier()?;
 
     // ---- Pack ---------------------------------------------------------
     comm.set_stage(stages::PACK_ENCODE);
-    let timer = StageTimer::start();
     let mut packed: Vec<Option<Bytes>> = Vec::with_capacity(k);
     for (p, data) in intermediates.into_iter().enumerate() {
         if p == me {
@@ -152,7 +147,6 @@ fn node_main<W: Workload>(
             packed.push(Some(Bytes::from(data)));
         }
     }
-    wall.pack_encode = timer.stop();
     comm.barrier()?;
 
     // ---- Shuffle ------------------------------------------------------
@@ -161,7 +155,6 @@ fn node_main<W: Workload>(
     // with a barrier after each turn. Receives drain in sender order
     // either way, so the partition assembles identically.
     comm.set_stage(stages::SHUFFLE);
-    let timer = StageTimer::start();
     let strict = cfg.strict_serial_shuffle;
     let mut send_mine = |stats: &mut NodeStats| -> Result<()> {
         // Staggered destination order (s+1, s+2, …): hotspot-free when
@@ -191,11 +184,9 @@ fn node_main<W: Workload>(
         }
     }
     comm.barrier()?;
-    wall.shuffle = timer.stop();
 
     // ---- Unpack --------------------------------------------------------
     comm.set_stage(stages::UNPACK_DECODE);
-    let timer = StageTimer::start();
     let own = packed[me].take().expect("own partition kept");
     let mut partition_data =
         Vec::with_capacity(own.len() + received.iter().map(|b| b.len()).sum::<usize>());
@@ -204,18 +195,15 @@ fn node_main<W: Workload>(
         stats.unpack_bytes += buf.len() as u64;
         partition_data.extend_from_slice(buf);
     }
-    wall.unpack_decode = timer.stop();
     comm.barrier()?;
 
     // ---- Reduce --------------------------------------------------------
     comm.set_stage(stages::REDUCE);
-    let timer = StageTimer::start();
     stats.reduce_input_bytes = partition_data.len() as u64;
     let output = workload.reduce_par(me, &partition_data, &pool);
-    wall.reduce = timer.stop();
     comm.barrier()?;
 
-    Ok((output, stats, wall))
+    Ok((output, stats))
 }
 
 #[cfg(test)]

@@ -30,13 +30,13 @@ use std::sync::Arc;
 use cts_core::metrics::{Histogram, MetricsHub};
 use parking_lot::Mutex;
 
-use crate::comm::{BcastAlgorithm, Communicator};
+use crate::comm::Communicator;
 use crate::error::Result;
 use crate::fabric::ShuffleFabric;
 use crate::fault::{FaultRule, FaultyTransport};
 use crate::local::LocalFabric;
 use crate::rate::{Nic, NicMeter, NicProfile};
-use crate::span::{SpanCollector, SpanLog};
+use crate::span::{SpanLog, StageSpan};
 use crate::tcp::build_tcp_fabric;
 use crate::trace::{Trace, TraceCollector};
 use crate::transport::Transport;
@@ -90,15 +90,12 @@ pub struct ClusterConfig {
     /// Optional per-node emulated NIC (egress rate cap, per-transfer
     /// latency, multicast penalty). `None` runs at memory/loopback speed.
     pub nic: Option<NicProfile>,
-    /// Legacy broadcast algorithm (the [`Communicator::broadcast`] path).
-    pub bcast: BcastAlgorithm,
     /// How [`Communicator::multicast`] group sends hit the wire.
     pub fabric: ShuffleFabric,
-    /// Whether to record a transfer trace.
+    /// Whether to record the transfer trace and the per-stage spans (on
+    /// by default). With recording off a job has no spans, so its stage
+    /// walls read zero.
     pub trace_enabled: bool,
-    /// Whether to record per-stage wall-clock spans (the observability
-    /// plane's timing layer; a bounded ring, on by default).
-    pub spans_enabled: bool,
     /// Tuning (chunk size, NACK cadence, retransmit budgets, fault
     /// injection, stats sink) for the [`TransportKind::Udp`] fabric;
     /// ignored by the others.
@@ -115,10 +112,8 @@ impl ClusterConfig {
             k,
             transport: TransportKind::Local,
             nic: None,
-            bcast: BcastAlgorithm::default(),
             fabric: ShuffleFabric::default(),
             trace_enabled: true,
-            spans_enabled: true,
             udp: UdpConfig::default(),
             fault: None,
         }
@@ -150,12 +145,6 @@ impl ClusterConfig {
     /// Installs a full emulated-NIC profile on every node.
     pub fn with_nic(mut self, nic: NicProfile) -> Self {
         self.nic = Some(nic);
-        self
-    }
-
-    /// Selects the legacy broadcast algorithm.
-    pub fn with_bcast(mut self, algo: BcastAlgorithm) -> Self {
-        self.bcast = algo;
         self
     }
 
@@ -196,15 +185,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Enables or disables trace recording.
+    /// Enables or disables trace and stage-span recording.
     pub fn with_trace(mut self, enabled: bool) -> Self {
         self.trace_enabled = enabled;
-        self
-    }
-
-    /// Enables or disables stage-span recording.
-    pub fn with_spans(mut self, enabled: bool) -> Self {
-        self.spans_enabled = enabled;
         self
     }
 }
@@ -217,8 +200,8 @@ pub struct ClusterRun<R> {
     /// Recorded transfer trace (empty if tracing was disabled). On a
     /// [`SharedFabric`] this is already filtered to the submitting job.
     pub trace: Trace,
-    /// Recorded stage spans (empty if spans were disabled), filtered to
-    /// the submitting job.
+    /// The job's stage spans, every rank's in close order (empty if
+    /// recording was disabled).
     pub spans: SpanLog,
 }
 
@@ -250,9 +233,10 @@ impl JobBinding {
 /// - **tags**: every `Communicator` entry point rewrites tags into the
 ///   job's slot namespace, so two jobs using `Tag::app(0)` on the same
 ///   mailbox never cross-match;
-/// - **traces**: events are stamped with the job id and the returned
-///   [`ClusterRun::trace`] is pre-filtered to it; the owner drops a
-///   finished job's events with [`retire_job`](SharedFabric::retire_job);
+/// - **traces**: events and stage spans are stamped with the job id, and
+///   the returned [`ClusterRun::trace`] and [`ClusterRun::spans`] hold
+///   only that job's; the owner drops a finished job's events with
+///   [`retire_job`](SharedFabric::retire_job);
 /// - **pacing**: each job gets its own emulated [`Nic`] token buckets
 ///   (from `nic_override` or the cluster default), so one tenant
 ///   saturating its egress budget stalls only its own sends.
@@ -263,7 +247,6 @@ impl JobBinding {
 pub struct SharedFabric {
     transports: Vec<Arc<dyn Transport>>,
     trace: Arc<TraceCollector>,
-    spans: Arc<SpanCollector>,
     metrics: Arc<MetricsHub>,
     /// Distribution of individual NIC token-bucket stalls (ns), shared by
     /// every job's NICs.
@@ -293,7 +276,6 @@ impl SharedFabric {
             crate::registry::MAX_WORLD
         );
         let trace = Arc::new(TraceCollector::new(config.trace_enabled));
-        let spans = Arc::new(SpanCollector::new(config.spans_enabled));
         let metrics = Arc::new(MetricsHub::new());
         let nic_wait_hist = metrics.histogram_scaled("cts_nic_wait_seconds", 1e-9);
         let mut transports: Vec<Arc<dyn Transport>> = match config.resolved_transport() {
@@ -328,7 +310,6 @@ impl SharedFabric {
         Ok(SharedFabric {
             transports,
             trace,
-            spans,
             metrics,
             nic_wait_hist,
             meters: Mutex::new(Vec::new()),
@@ -367,9 +348,10 @@ impl SharedFabric {
         self.trace.retire(id);
     }
 
-    /// A snapshot of the retained (all-jobs) stage spans.
+    /// A snapshot of the (all-jobs) stage spans the collector's bounded
+    /// history ring retains.
     pub fn spans_snapshot(&self) -> SpanLog {
-        self.spans.snapshot()
+        self.trace.span_snapshot()
     }
 
     /// The fabric's metric registry. Subsystems riding this fabric (the
@@ -465,6 +447,7 @@ impl SharedFabric {
         let slots: Vec<Mutex<Option<I>>> =
             inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
         let results: Vec<Mutex<Option<R>>> = (0..k).map(|_| Mutex::new(None)).collect();
+        let spans: Mutex<Vec<StageSpan>> = Mutex::new(Vec::new());
         let panics: Mutex<Vec<Box<dyn std::any::Any + Send>>> = Mutex::new(Vec::new());
 
         std::thread::scope(|scope| {
@@ -472,29 +455,27 @@ impl SharedFabric {
             for rank in 0..k {
                 let transport = Arc::clone(&self.transports[rank]);
                 let trace = Arc::clone(&self.trace);
-                let spans = Arc::clone(&self.spans);
                 let metrics = Arc::clone(&self.metrics);
                 let nic = profile.map(|p| {
                     let meter = Arc::clone(meter.as_ref().expect("meter exists when shaped"));
                     Arc::new(Nic::new(p).with_meter(meter, Some(Arc::clone(&self.nic_wait_hist))))
                 });
-                let bcast = self.config.bcast;
                 let fabric = self.config.fabric;
                 let slots = &slots;
                 let results = &results;
+                let spans = &spans;
                 let panics = &panics;
                 let this = &*self;
                 let f = &f;
                 scope.spawn(move || {
-                    let comm = Communicator::new(transport, trace, nic, bcast)
+                    let comm = Communicator::new(transport, trace, nic)
                         .with_fabric(fabric)
                         .with_job(binding.slot, binding.id)
-                        .with_spans(spans)
                         .with_metrics(metrics);
                     let input = slots[rank].lock().take().expect("input taken once");
                     match catch_unwind(AssertUnwindSafe(|| f(&comm, input))) {
                         Ok(r) => {
-                            comm.finish_spans();
+                            spans.lock().extend(comm.finish_spans());
                             *results[rank].lock() = Some(r);
                         }
                         Err(payload) => {
@@ -517,10 +498,19 @@ impl SharedFabric {
             .into_iter()
             .map(|m| m.into_inner().expect("every rank produced a result"))
             .collect();
+        // Built from the ranks' own span lists: filtering the shared
+        // history ring would copy every retained span for every job.
+        // Sorted into close order, as the ring records them.
+        let mut spans = spans.into_inner();
+        spans.sort_unstable_by_key(|s| (s.end_ns, s.rank));
+        let trace = self.trace.snapshot_job(binding.id);
         Ok(ClusterRun {
             results,
-            trace: self.trace.snapshot_job(binding.id),
-            spans: self.spans.snapshot().for_job(binding.id),
+            spans: SpanLog {
+                names: trace.stages.clone(),
+                spans,
+            },
+            trace,
         })
     }
 }
@@ -757,14 +747,60 @@ mod tests {
             .all(|&d| d >= 2_000_000));
         // The final stage was closed by the harness, not left dangling.
         assert!(run.spans.stage_durations_ns("Shuffle").len() == 3);
-        // Spans disabled → nothing recorded, and set_stage stays legal.
-        let quiet = SharedFabric::build(&ClusterConfig::local(2).with_spans(false)).unwrap();
+        // Recording disabled → nothing recorded, and set_stage stays legal.
+        let quiet = SharedFabric::build(&ClusterConfig::local(2).with_trace(false)).unwrap();
         let run = quiet
             .run_job(JobBinding::ROOT, None, vec![(); 2], |comm, ()| {
                 comm.set_stage("Map");
             })
             .unwrap();
         assert!(run.spans.spans.is_empty());
+    }
+
+    #[test]
+    fn concurrent_jobs_get_exactly_their_own_spans() {
+        // Two jobs in flight on one fabric: each job's span log holds its
+        // own ranks × stages and nothing else, while the shared history
+        // ring keeps both.
+        let fabric = SharedFabric::build(&ClusterConfig::local(3)).unwrap();
+        let job = |slot: u8, id: u32| {
+            fabric
+                .run_job(
+                    JobBinding { slot, id },
+                    None,
+                    vec![(); 3],
+                    |comm: &Communicator, ()| {
+                        for stage in ["Map", "Shuffle", "Reduce"] {
+                            comm.set_stage(stage);
+                            let next = (comm.rank() + 1) % 3;
+                            comm.send(next, Tag::app(0), Bytes::from_static(b"x"))
+                                .unwrap();
+                            comm.recv((comm.rank() + 2) % 3, Tag::app(0)).unwrap();
+                            comm.barrier().unwrap();
+                        }
+                    },
+                )
+                .unwrap()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let ja = s.spawn(|| job(1, 0xA1));
+            let jb = s.spawn(|| job(2, 0xB2));
+            (ja.join().unwrap(), jb.join().unwrap())
+        });
+        for (run, id) in [(&a, 0xA1), (&b, 0xB2)] {
+            assert_eq!(run.spans.spans.len(), 3 * 3, "job {id:#x}");
+            assert_eq!(run.spans.jobs(), vec![id]);
+            assert_eq!(
+                run.spans.stages_in_order(),
+                vec!["Map", "Shuffle", "Reduce"]
+            );
+            for stage in ["Map", "Shuffle", "Reduce"] {
+                assert_eq!(run.spans.stage_durations_ns(stage).len(), 3, "{stage}");
+            }
+        }
+        let all = fabric.spans_snapshot();
+        assert_eq!(all.jobs(), vec![0xA1, 0xB2]);
+        assert_eq!(all.spans.len(), 2 * 3 * 3);
     }
 
     #[test]

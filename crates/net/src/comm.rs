@@ -1,21 +1,20 @@
 //! The per-node communicator: point-to-point sends plus MPI-style
-//! collectives (barrier, broadcast, multicast, gather, scatter) with
-//! transfer tracing and optional NIC emulation.
+//! collectives (barrier, multicast, gather, scatter) with transfer
+//! tracing, stage spans and optional NIC emulation.
 //!
 //! One `Communicator` is handed to each SPMD node closure by the
 //! [`cluster`](crate::cluster) runner. It mirrors the Open MPI surface the
 //! paper's C++ implementation uses: `MPI_Send`/`MPI_Recv`, `MPI_Bcast`
-//! within a multicast group, and `MPI_Barrier` between stages. Two
-//! group-cast paths exist:
+//! within a multicast group, and `MPI_Barrier` between stages. The group
+//! send is [`multicast`](Communicator::multicast): dispatching on the
+//! configured [`ShuffleFabric`], it sends serial unicasts, overlapped
+//! fanout copies, or one native multicast, charges the emulated NIC
+//! accordingly, and records the per-fabric egress count in the trace.
 //!
-//! * [`broadcast`](Communicator::broadcast) — the legacy software
-//!   collective (flat or binomial tree over point-to-point hops), kept for
-//!   the tree-cost ablation;
-//! * [`multicast`](Communicator::multicast) — the fabric-aware path the
-//!   coded shuffle uses: dispatching on the configured
-//!   [`ShuffleFabric`], it sends serial unicasts, overlapped fanout
-//!   copies, or one native multicast, charges the emulated NIC
-//!   accordingly, and records the per-fabric egress count in the trace.
+//! [`set_stage`](Communicator::set_stage) labels the traffic that follows
+//! and is also the stage clock: it closes the rank's open
+//! [`StageSpan`] and opens the next one in the fabric's
+//! [`TraceCollector`].
 //!
 //! ```
 //! use bytes::Bytes;
@@ -40,6 +39,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use parking_lot::Mutex;
 
 use cts_core::metrics::MetricsHub;
 
@@ -47,20 +47,12 @@ use crate::error::{NetError, Result};
 use crate::fabric::ShuffleFabric;
 use crate::message::Tag;
 use crate::rate::Nic;
-use crate::span::SpanCollector;
+use crate::span::StageSpan;
 use crate::trace::{EventKind, TraceCollector};
 use crate::transport::Transport;
 
-/// Which broadcast algorithm multicasts use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum BcastAlgorithm {
-    /// Root sends to every member back-to-back (`r` serial unicasts).
-    Flat,
-    /// Binomial tree (MPICH/Open MPI style): `⌈log2 m⌉` rounds, relays
-    /// forward as they receive.
-    #[default]
-    BinomialTree,
-}
+/// `stage_start` value while no span is open.
+const NO_SPAN: u64 = u64::MAX;
 
 /// The receiver bitmask of a group cast: every member except the root.
 fn group_mask(members: &[usize], root: usize) -> u128 {
@@ -75,22 +67,21 @@ pub struct Communicator {
     transport: Arc<dyn Transport>,
     trace: Arc<TraceCollector>,
     nic: Option<Arc<Nic>>,
-    bcast_algo: BcastAlgorithm,
     fabric: ShuffleFabric,
+    /// The interned stage labelling traffic, which is also the open span's
+    /// stage.
     stage: AtomicU16,
+    /// The open span's start, ns on the collector's clock (`NO_SPAN` =
+    /// none open).
+    stage_start: AtomicU64,
+    /// The spans this rank has closed, handed back by
+    /// [`finish_spans`](Self::finish_spans).
+    spans: Mutex<Vec<StageSpan>>,
     barrier_epoch: AtomicU32,
-    bcast_epoch: AtomicU32,
     /// Job slot scoped into every tag (0 = exclusive, tags unchanged).
     job_slot: u8,
-    /// Job id stamped on every trace event.
+    /// Job id stamped on every trace event and span.
     job_id: u32,
-    /// Stage-span sink, attached by the shared fabric. Each `set_stage`
-    /// closes the rank's open span and opens the next.
-    spans: Option<Arc<SpanCollector>>,
-    /// The open span's interned stage (`u16::MAX` = none open).
-    span_stage: AtomicU16,
-    /// The open span's start, ns on the collector's clock.
-    span_start: AtomicU64,
     /// The owning runtime's metric registry, attached by the shared
     /// fabric so engines can register job-level instruments (heartbeat
     /// transitions, decode progress) without new plumbing.
@@ -98,41 +89,29 @@ pub struct Communicator {
 }
 
 impl Communicator {
-    /// Wires a communicator over `transport`, recording into `trace`,
-    /// optionally pacing egress through an emulated `nic`. The shuffle
-    /// fabric defaults to [`ShuffleFabric::Multicast`]; override it with
-    /// [`with_fabric`](Self::with_fabric).
+    /// Wires a communicator over `transport`, recording traffic and stage
+    /// spans into `trace`, optionally pacing egress through an emulated
+    /// `nic`. The shuffle fabric defaults to [`ShuffleFabric::Multicast`];
+    /// override it with [`with_fabric`](Self::with_fabric).
     pub fn new(
         transport: Arc<dyn Transport>,
         trace: Arc<TraceCollector>,
         nic: Option<Arc<Nic>>,
-        bcast_algo: BcastAlgorithm,
     ) -> Self {
         let stage = trace.intern("init");
         Communicator {
             transport,
             trace,
             nic,
-            bcast_algo,
             fabric: ShuffleFabric::default(),
             stage: AtomicU16::new(stage),
+            stage_start: AtomicU64::new(NO_SPAN),
+            spans: Mutex::new(Vec::new()),
             barrier_epoch: AtomicU32::new(0),
-            bcast_epoch: AtomicU32::new(0),
             job_slot: 0,
             job_id: 0,
-            spans: None,
-            span_stage: AtomicU16::new(u16::MAX),
-            span_start: AtomicU64::new(0),
             metrics: None,
         }
-    }
-
-    /// Attaches a stage-span collector: from now on every
-    /// [`set_stage`](Self::set_stage) brackets wall-clock time per stage
-    /// (closed by the next `set_stage` or [`finish_spans`](Self::finish_spans)).
-    pub fn with_spans(mut self, spans: Arc<SpanCollector>) -> Self {
-        self.spans = Some(spans);
-        self
     }
 
     /// Attaches the runtime's metric registry (builder-style).
@@ -211,46 +190,42 @@ impl Communicator {
         self.transport.world_size()
     }
 
-    /// Labels subsequent traffic with a stage name ("Map", "Shuffle", …).
-    ///
-    /// When a span collector is attached this also closes the rank's open
-    /// stage span and opens one for `name` — the engines' existing stage
-    /// annotations double as the timing brackets behind `cts stats` and
-    /// `--timeline`, with no extra calls in the engine.
+    /// Labels subsequent traffic with a stage name ("Map", "Shuffle", …)
+    /// and, when recording is on, closes the rank's open stage span and
+    /// opens one for `name`. A stage therefore lasts from its `set_stage`
+    /// to the next one, including the barrier that ends it. These spans
+    /// are the only stage clock: engine walls, `cts stats` and
+    /// `--timeline` all read them.
     pub fn set_stage(&self, name: &str) {
-        self.stage.store(self.trace.intern(name), Ordering::Relaxed);
-        if let Some(spans) = &self.spans {
-            if spans.enabled() {
-                let now = spans.now_ns();
-                self.close_open_span(spans, now);
-                self.span_stage.store(spans.intern(name), Ordering::Relaxed);
-                self.span_start.store(now, Ordering::Relaxed);
-            }
+        let stage = self.trace.intern(name);
+        if self.trace.enabled() {
+            let now = self.trace.now_ns();
+            self.close_span(now);
+            self.stage_start.store(now, Ordering::Relaxed);
         }
+        self.stage.store(stage, Ordering::Relaxed);
     }
 
-    /// Closes the open stage span, if any (idempotent). The shared fabric
-    /// calls this when the rank's job closure returns, so the final stage
-    /// is bracketed too.
-    pub fn finish_spans(&self) {
-        if let Some(spans) = &self.spans {
-            if spans.enabled() {
-                let now = spans.now_ns();
-                self.close_open_span(spans, now);
-            }
-        }
+    /// Closes the open stage span, if any, and hands back every span this
+    /// rank has closed. The shared fabric calls this when the rank's job
+    /// closure returns, so the final stage is bracketed too.
+    pub fn finish_spans(&self) -> Vec<StageSpan> {
+        self.close_span(self.trace.now_ns());
+        std::mem::take(&mut *self.spans.lock())
     }
 
-    fn close_open_span(&self, spans: &Arc<SpanCollector>, now: u64) {
-        let stage = self.span_stage.swap(u16::MAX, Ordering::Relaxed);
-        if stage != u16::MAX {
-            spans.record(crate::span::StageSpan {
+    fn close_span(&self, now: u64) {
+        let start = self.stage_start.swap(NO_SPAN, Ordering::Relaxed);
+        if start != NO_SPAN {
+            let span = StageSpan {
                 job: self.job_id,
                 rank: self.transport.rank() as u16,
-                stage,
-                start_ns: self.span_start.load(Ordering::Relaxed),
+                stage: self.stage.load(Ordering::Relaxed),
+                start_ns: start,
                 end_ns: now,
-            });
+            };
+            self.trace.record_span(span);
+            self.spans.lock().push(span);
         }
     }
 
@@ -303,28 +278,20 @@ impl Communicator {
         Ok(())
     }
 
-    /// Substrate-internal send (control traffic, tree relays) — excluded
-    /// from communication-load accounting. Deliberately pays egress bytes
-    /// but *not* the per-transfer NIC latency: barrier/collective control
-    /// messages would otherwise distort strict-serial schedules, and the
-    /// legacy tree-broadcast path keeps its pre-NIC-emulation timing. The
-    /// fabric-aware [`multicast`](Self::multicast) is the path whose
-    /// wall-clock mirrors the model.
+    /// Substrate-internal send (barrier, gather and scatter control
+    /// traffic) — excluded from communication-load accounting.
+    /// Deliberately pays egress bytes but *not* the per-transfer NIC
+    /// latency: control messages would otherwise distort strict-serial
+    /// schedules. Callers pass an already-scoped tag (collectives scope at
+    /// entry).
     fn send_internal(&self, dst: usize, tag: Tag, payload: Bytes) -> Result<()> {
-        self.send_internal_oh(dst, tag, payload, 0)
-    }
-
-    /// Internal send carrying an explicit protocol-overhead byte count
-    /// (tree relays of a coded packet inherit the packet's header size).
-    /// Callers pass an already-scoped tag (collectives scope at entry).
-    fn send_internal_oh(&self, dst: usize, tag: Tag, payload: Bytes, overhead: u64) -> Result<()> {
         self.trace.record_transfer_for(
             self.job_id,
             self.stage.load(Ordering::Relaxed),
             self.rank(),
             1u128 << dst,
             payload.len() as u64,
-            overhead,
+            0,
             1,
             EventKind::Internal,
         );
@@ -370,129 +337,9 @@ impl Communicator {
         Ok(())
     }
 
-    /// Multicast within a member group — the `MPI_Bcast` equivalent.
-    ///
-    /// `members` must be sorted ascending, contain both `root` and the
-    /// caller, and every member must call `broadcast` with the same
-    /// arguments (SPMD). The root passes `Some(payload)`, others `None`;
-    /// everyone returns the payload.
-    ///
-    /// The trace records **one** `Multicast` event at the root (bytes
-    /// counted once — the paper's communication-load convention) plus the
-    /// underlying tree/flat unicasts as `Internal` events.
-    pub fn broadcast(
-        &self,
-        root: usize,
-        members: &[usize],
-        tag: Tag,
-        data: Option<Bytes>,
-    ) -> Result<Bytes> {
-        self.broadcast_with_overhead(root, members, tag, data, 0)
-    }
-
-    /// [`broadcast`](Self::broadcast) with an explicit protocol-overhead
-    /// byte count recorded on the multicast trace event. The coded engine
-    /// passes its packet-header size so the performance model can scale
-    /// payload and overhead separately.
-    pub fn broadcast_with_overhead(
-        &self,
-        root: usize,
-        members: &[usize],
-        tag: Tag,
-        data: Option<Bytes>,
-        overhead: u64,
-    ) -> Result<Bytes> {
-        let tag = self.scope(tag);
-        let m = members.len();
-        let (my_pos, root_pos) = self.validate_group(root, members, &data)?;
-        let is_root = self.rank() == root;
-
-        if is_root {
-            // A *logical* multicast record: bytes counted once, and zero
-            // wire copies of its own — the constituent hops are traced as
-            // `Internal` events below (the tree-cost ablation reads them).
-            self.trace.record_transfer_for(
-                self.job_id,
-                self.stage.load(Ordering::Relaxed),
-                self.rank(),
-                group_mask(members, root),
-                data.as_ref().map(|d| d.len()).unwrap_or(0) as u64,
-                overhead,
-                0,
-                EventKind::Multicast,
-            );
-        }
-        if m == 1 {
-            return Ok(data.unwrap());
-        }
-
-        match self.bcast_algo {
-            BcastAlgorithm::Flat => {
-                if is_root {
-                    let payload = data.unwrap();
-                    for &dst in members.iter().filter(|&&n| n != root) {
-                        self.send_internal_oh(dst, tag, payload.clone(), overhead)?;
-                    }
-                    Ok(payload)
-                } else {
-                    self.transport.recv(root, tag)
-                }
-            }
-            BcastAlgorithm::BinomialTree => {
-                let vrank = (my_pos + m - root_pos) % m;
-                let actual = |v: usize| members[(v + root_pos) % m];
-                let mut payload = data;
-                let mut mask = 1usize;
-                while mask < m {
-                    if vrank & mask != 0 {
-                        let parent = actual(vrank - mask);
-                        payload = Some(self.transport.recv(parent, tag)?);
-                        break;
-                    }
-                    mask <<= 1;
-                }
-                let payload = payload.expect("binomial bcast: payload after recv phase");
-                mask >>= 1;
-                while mask > 0 {
-                    if vrank + mask < m {
-                        self.send_internal_oh(
-                            actual(vrank + mask),
-                            tag,
-                            payload.clone(),
-                            overhead,
-                        )?;
-                    }
-                    mask >>= 1;
-                }
-                Ok(payload)
-            }
-        }
-    }
-
-    /// Broadcast with an automatically assigned group-unique tag, for use
-    /// when the same group multicasts repeatedly (serial multicast shuffle).
-    /// All members' epochs advance in lockstep because the call pattern is
-    /// SPMD-deterministic.
-    pub fn broadcast_auto(
-        &self,
-        root: usize,
-        members: &[usize],
-        data: Option<Bytes>,
-    ) -> Result<Bytes> {
-        let epoch = self.bcast_epoch.fetch_add(1, Ordering::Relaxed);
-        let tag = Tag::new(Tag::BCAST, epoch & self.epoch_mask());
-        self.broadcast(root, members, tag, data)
-    }
-
-    /// Shared SPMD group validation: members sorted/unique, caller and root
-    /// both present, root supplies the payload. Returns the caller's and
-    /// the root's positions in `members`.
-    fn validate_group(
-        &self,
-        root: usize,
-        members: &[usize],
-        data: &Option<Bytes>,
-    ) -> Result<(usize, usize)> {
+    /// SPMD group validation: members sorted/unique, caller and root both
+    /// present, root supplies the payload.
+    fn validate_group(&self, root: usize, members: &[usize], data: &Option<Bytes>) -> Result<()> {
         if members.is_empty() || members.windows(2).any(|w| w[0] >= w[1]) {
             return Err(NetError::CollectiveMisuse {
                 what: "members must be non-empty, sorted, unique".into(),
@@ -507,32 +354,32 @@ impl Communicator {
                 world: self.world_size(),
             });
         }
-        let my_pos =
-            members
-                .binary_search(&self.rank())
-                .map_err(|_| NetError::CollectiveMisuse {
-                    what: format!("caller {} not in group", self.rank()),
-                })?;
-        let root_pos = members
-            .binary_search(&root)
-            .map_err(|_| NetError::CollectiveMisuse {
+        if members.binary_search(&self.rank()).is_err() {
+            return Err(NetError::CollectiveMisuse {
+                what: format!("caller {} not in group", self.rank()),
+            });
+        }
+        if members.binary_search(&root).is_err() {
+            return Err(NetError::CollectiveMisuse {
                 what: format!("root {root} not in group"),
-            })?;
+            });
+        }
         if self.rank() == root && data.is_none() {
             return Err(NetError::CollectiveMisuse {
                 what: "root must supply the payload".into(),
             });
         }
-        Ok((my_pos, root_pos))
+        Ok(())
     }
 
     /// Multicast within a member group over the configured
-    /// [`ShuffleFabric`] — the path the coded shuffle takes.
+    /// [`ShuffleFabric`] — the `MPI_Bcast` equivalent the coded shuffle
+    /// uses.
     ///
-    /// Same SPMD contract as [`broadcast`](Self::broadcast): `members`
-    /// sorted and containing both `root` and the caller, every member
-    /// calling with the same arguments, the root passing `Some(payload)`.
-    /// All receivers get the payload directly from the root (no relaying),
+    /// SPMD contract: `members` sorted ascending and containing both
+    /// `root` and the caller, every member calling with the same
+    /// arguments, the root passing `Some(payload)` and everyone returning
+    /// the payload. All receivers get the payload directly from the root (no relaying),
     /// so the receive path is fabric-independent; what changes per fabric
     /// is how the root's copies leave the machine:
     ///
@@ -733,14 +580,8 @@ mod tests {
     use super::*;
     use crate::local::LocalFabric;
 
-    fn comms(k: usize, algo: BcastAlgorithm) -> Vec<Communicator> {
-        let fabric = LocalFabric::new(k);
-        let trace = Arc::new(TraceCollector::new(true));
-        (0..k)
-            .map(|r| {
-                Communicator::new(Arc::new(fabric.endpoint(r)), Arc::clone(&trace), None, algo)
-            })
-            .collect()
+    fn comms(k: usize) -> Vec<Communicator> {
+        fabric_comms(k, ShuffleFabric::default()).0
     }
 
     fn run_spmd<R: Send>(comms: &[Communicator], f: impl Fn(&Communicator) -> R + Sync) -> Vec<R> {
@@ -753,7 +594,7 @@ mod tests {
     #[test]
     fn barrier_synchronizes() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let comms = comms(4, BcastAlgorithm::default());
+        let comms = comms(4);
         let counter = AtomicUsize::new(0);
         run_spmd(&comms, |c| {
             counter.fetch_add(1, Ordering::SeqCst);
@@ -764,95 +605,13 @@ mod tests {
         });
     }
 
-    #[test]
-    fn broadcast_binomial_reaches_all() {
-        let comms = comms(6, BcastAlgorithm::BinomialTree);
-        let members = [0usize, 2, 3, 5];
-        let results = run_spmd(&comms, |c| {
-            if members.contains(&c.rank()) {
-                let data = (c.rank() == 3).then(|| Bytes::from_static(b"tree!"));
-                Some(
-                    c.broadcast(3, &members, Tag::new(Tag::BCAST, 1), data)
-                        .unwrap(),
-                )
-            } else {
-                None
-            }
-        });
-        for (rank, res) in results.iter().enumerate() {
-            if members.contains(&rank) {
-                assert_eq!(res.as_ref().unwrap(), "tree!");
-            } else {
-                assert!(res.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn broadcast_flat_reaches_all() {
-        let comms = comms(5, BcastAlgorithm::Flat);
-        let members = [1usize, 2, 4];
-        let results = run_spmd(&comms, |c| {
-            if members.contains(&c.rank()) {
-                let data = (c.rank() == 1).then(|| Bytes::from_static(b"flat"));
-                Some(
-                    c.broadcast(1, &members, Tag::new(Tag::BCAST, 9), data)
-                        .unwrap(),
-                )
-            } else {
-                None
-            }
-        });
-        assert_eq!(results[2].as_ref().unwrap(), "flat");
-        assert_eq!(results[4].as_ref().unwrap(), "flat");
-    }
-
-    #[test]
-    fn broadcast_records_one_multicast_event() {
-        let fabric = LocalFabric::new(3);
-        let trace = Arc::new(TraceCollector::new(true));
-        let comms: Vec<Communicator> = (0..3)
-            .map(|r| {
-                Communicator::new(
-                    Arc::new(fabric.endpoint(r)),
-                    Arc::clone(&trace),
-                    None,
-                    BcastAlgorithm::BinomialTree,
-                )
-            })
-            .collect();
-        run_spmd(&comms, |c| {
-            c.set_stage("Shuffle");
-            let data = (c.rank() == 0).then(|| Bytes::from(vec![0u8; 100]));
-            c.broadcast(0, &[0, 1, 2], Tag::new(Tag::BCAST, 0), data)
-                .unwrap();
-        });
-        let t = trace.snapshot();
-        let multicasts: Vec<_> = t
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::Multicast)
-            .collect();
-        assert_eq!(multicasts.len(), 1);
-        assert_eq!(multicasts[0].bytes, 100);
-        assert_eq!(multicasts[0].fanout(), 2);
-        // Bytes counted once despite 2 receivers.
-        assert_eq!(t.stage_bytes("Shuffle"), 100);
-        assert_eq!(t.stage_bytes_unicast_equivalent("Shuffle"), 200);
-    }
-
     fn fabric_comms(k: usize, fabric: ShuffleFabric) -> (Vec<Communicator>, Arc<TraceCollector>) {
         let fab = LocalFabric::new(k);
         let trace = Arc::new(TraceCollector::new(true));
         let comms = (0..k)
             .map(|r| {
-                Communicator::new(
-                    Arc::new(fab.endpoint(r)),
-                    Arc::clone(&trace),
-                    None,
-                    BcastAlgorithm::default(),
-                )
-                .with_fabric(fabric)
+                Communicator::new(Arc::new(fab.endpoint(r)), Arc::clone(&trace), None)
+                    .with_fabric(fabric)
             })
             .collect();
         (comms, trace)
@@ -923,16 +682,49 @@ mod tests {
     }
 
     #[test]
-    fn multicast_validates_like_broadcast() {
+    fn multicast_rejects_outsider_and_bad_members() {
         let (comms, _) = fabric_comms(3, ShuffleFabric::Multicast);
+        // Caller not in group.
         assert!(matches!(
             comms[2].multicast(0, &[0, 1], Tag::new(Tag::BCAST, 0), None),
             Err(NetError::CollectiveMisuse { .. })
         ));
+        // Unsorted member list.
+        assert!(matches!(
+            comms[0].multicast(0, &[1, 0], Tag::new(Tag::BCAST, 0), Some(Bytes::new())),
+            Err(NetError::CollectiveMisuse { .. })
+        ));
+        // Root missing payload.
         assert!(matches!(
             comms[0].multicast(0, &[0, 1], Tag::new(Tag::BCAST, 0), None),
             Err(NetError::CollectiveMisuse { .. })
         ));
+    }
+
+    #[test]
+    fn set_stage_brackets_spans_until_finish() {
+        let (comms, trace) = fabric_comms(1, ShuffleFabric::Multicast);
+        let c = &comms[0];
+        c.set_stage("Map");
+        c.set_stage("Shuffle");
+        let spans = c.finish_spans();
+        assert_eq!(spans.len(), 2);
+        assert!(spans[0].end_ns <= spans[1].start_ns);
+        // The ring saw the same spans, under the shared stage table.
+        let log = trace.span_snapshot();
+        assert_eq!(log.spans, spans);
+        assert_eq!(log.stages_in_order(), vec!["Map", "Shuffle"]);
+        // Nothing stays open or buffered once finished.
+        assert!(c.finish_spans().is_empty());
+
+        // Recording off: stages still label traffic, but no span exists.
+        let off = Communicator::new(
+            Arc::new(LocalFabric::new(1).endpoint(0)),
+            Arc::new(TraceCollector::new(false)),
+            None,
+        );
+        off.set_stage("Map");
+        assert!(off.finish_spans().is_empty());
     }
 
     #[test]
@@ -946,15 +738,6 @@ mod tests {
         ));
         assert!(matches!(
             comms[0].multicast(
-                0,
-                &[0, 200],
-                Tag::new(Tag::BCAST, 0),
-                Some(Bytes::from_static(b"x"))
-            ),
-            Err(NetError::InvalidRank { rank: 200, .. })
-        ));
-        assert!(matches!(
-            comms[0].broadcast(
                 0,
                 &[0, 200],
                 Tag::new(Tag::BCAST, 0),
@@ -983,28 +766,8 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_rejects_outsider_and_bad_members() {
-        let comms = comms(3, BcastAlgorithm::default());
-        // Caller not in group.
-        let err = comms[2]
-            .broadcast(0, &[0, 1], Tag::new(Tag::BCAST, 0), None)
-            .unwrap_err();
-        assert!(matches!(err, NetError::CollectiveMisuse { .. }));
-        // Unsorted member list.
-        let err = comms[0]
-            .broadcast(0, &[1, 0], Tag::new(Tag::BCAST, 0), Some(Bytes::new()))
-            .unwrap_err();
-        assert!(matches!(err, NetError::CollectiveMisuse { .. }));
-        // Root missing payload.
-        let err = comms[0]
-            .broadcast(0, &[0, 1], Tag::new(Tag::BCAST, 0), None)
-            .unwrap_err();
-        assert!(matches!(err, NetError::CollectiveMisuse { .. }));
-    }
-
-    #[test]
     fn gather_collects_in_member_order() {
-        let comms = comms(4, BcastAlgorithm::default());
+        let comms = comms(4);
         let members = [0usize, 1, 3];
         let results = run_spmd(&comms, |c| {
             if !members.contains(&c.rank()) {
@@ -1027,7 +790,7 @@ mod tests {
 
     #[test]
     fn scatter_distributes_by_member_order() {
-        let comms = comms(3, BcastAlgorithm::default());
+        let comms = comms(3);
         let members = [0usize, 1, 2];
         let results = run_spmd(&comms, |c| {
             let chunks = (c.rank() == 0).then(|| {
@@ -1046,30 +809,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_auto_serializes_repeated_groups() {
-        let comms = comms(3, BcastAlgorithm::BinomialTree);
-        let members = [0usize, 1, 2];
-        let results = run_spmd(&comms, |c| {
-            let mut got = Vec::new();
-            for round in 0..10u8 {
-                for &root in &members {
-                    let data =
-                        (c.rank() == root).then(|| Bytes::copy_from_slice(&[root as u8, round]));
-                    got.push(c.broadcast_auto(root, &members, data).unwrap());
-                }
-            }
-            got
-        });
-        for r in results {
-            assert_eq!(r.len(), 30);
-            for (i, payload) in r.iter().enumerate() {
-                assert_eq!(payload[0] as usize, i % 3);
-                assert_eq!(payload[1] as usize, i / 3);
-            }
-        }
-    }
-
-    #[test]
     fn job_scoping_isolates_identical_tags_on_one_fabric() {
         // Two "jobs" share one fabric and both use Tag::app(7). Without
         // scoping the receives could match either sender's payload; with
@@ -1077,13 +816,8 @@ mod tests {
         let fabric = LocalFabric::new(2);
         let trace = Arc::new(TraceCollector::new(true));
         let comm_for = |rank: usize, slot: u8, id: u32| {
-            Communicator::new(
-                Arc::new(fabric.endpoint(rank)),
-                Arc::clone(&trace),
-                None,
-                BcastAlgorithm::default(),
-            )
-            .with_job(slot, id)
+            Communicator::new(Arc::new(fabric.endpoint(rank)), Arc::clone(&trace), None)
+                .with_job(slot, id)
         };
         let (a0, a1) = (comm_for(0, 1, 101), comm_for(1, 1, 101));
         let (b0, b1) = (comm_for(0, 2, 202), comm_for(1, 2, 202));
@@ -1109,19 +843,14 @@ mod tests {
         let job_comms = |slot: u8| -> Vec<Communicator> {
             (0..3)
                 .map(|r| {
-                    Communicator::new(
-                        Arc::new(fabric.endpoint(r)),
-                        Arc::clone(&trace),
-                        None,
-                        BcastAlgorithm::default(),
-                    )
-                    .with_job(slot, slot as u32)
+                    Communicator::new(Arc::new(fabric.endpoint(r)), Arc::clone(&trace), None)
+                        .with_job(slot, slot as u32)
                 })
                 .collect()
         };
         let a = job_comms(1);
         let b = job_comms(2);
-        // Run both jobs' broadcasts concurrently over the same endpoints
+        // Run both jobs' multicasts concurrently over the same endpoints
         // with the same tag; payloads must stay within their job.
         std::thread::scope(|s| {
             for comms in [&a, &b] {
@@ -1138,19 +867,5 @@ mod tests {
                 }
             }
         });
-    }
-
-    #[test]
-    fn single_member_broadcast_is_identity() {
-        let comms = comms(2, BcastAlgorithm::default());
-        let out = comms[0]
-            .broadcast(
-                0,
-                &[0],
-                Tag::new(Tag::BCAST, 0),
-                Some(Bytes::from_static(b"me")),
-            )
-            .unwrap();
-        assert_eq!(out, "me");
     }
 }

@@ -21,17 +21,17 @@
 //! * [`fabric`] — the [`ShuffleFabric`] selector: serial-unicast vs fanout
 //!   vs native multicast realizations of a group send;
 //! * [`comm`] — the per-node [`Communicator`]:
-//!   send/recv, barrier, legacy tree/flat broadcast, fabric-aware
-//!   [`Communicator::multicast`] (the `MPI_Bcast` of the paper's Multicast
-//!   Shuffling), gather, scatter;
+//!   send/recv, barrier, fabric-aware [`Communicator::multicast`] (the
+//!   `MPI_Bcast` of the paper's Multicast Shuffling), gather, scatter, and
+//!   [`Communicator::set_stage`], the one stage clock;
 //! * [`rate`] — emulated-NIC pacing: token-bucket egress shaping (the
 //!   paper's 100 Mbps `tc` cap), per-transfer latency, multicast `α`;
-//! * [`trace`] — transfer tracing: every unicast and multicast with stage
-//!   labels, byte counts, and per-fabric egress frame counts, consumed by
-//!   `cts-netsim`'s calibrated network model;
-//! * [`span`] — stage spans: wall-clock brackets per job and rank driven
-//!   by the engines' `set_stage` annotations, recorded into a bounded
-//!   ring for live daemon introspection (`cts stats`, `--timeline`);
+//! * [`trace`] — the fabric's one collector: every unicast and multicast
+//!   with stage labels, byte counts, and per-fabric egress frame counts
+//!   (consumed by `cts-netsim`'s calibrated network model), plus the
+//!   stage spans that `set_stage` brackets, in a bounded history ring;
+//! * [`span`] — the span snapshot types: wall-clock brackets per job and
+//!   rank that engine stage walls, `cts stats` and `--timeline` read;
 //! * [`cluster`] — SPMD runners ([`run_spmd`]) spawning
 //!   one thread per rank over either fabric, with panic-safe teardown,
 //!   plus the resident [`SharedFabric`] that runs many concurrent
@@ -55,12 +55,14 @@
 //! let run = run_spmd(&ClusterConfig::local(3), |comm| {
 //!     comm.set_stage("Shuffle");
 //!     let data = (comm.rank() == 0).then(|| Bytes::from_static(b"coded packet"));
-//!     comm.broadcast(0, &[0, 1, 2], Tag::new(Tag::BCAST, 0), data).unwrap()
+//!     comm.multicast(0, &[0, 1, 2], Tag::new(Tag::BCAST, 0), data).unwrap()
 //! })
 //! .unwrap();
 //! assert!(run.results.iter().all(|r| r == "coded packet"));
-//! // The trace counted the multicast's bytes once.
+//! // The trace counted the multicast's bytes once …
 //! assert_eq!(run.trace.stage_bytes("Shuffle"), 12);
+//! // … and every rank closed one Shuffle span.
+//! assert_eq!(run.spans.stage_durations_ns("Shuffle").len(), 3);
 //! ```
 
 #![deny(missing_docs)]
@@ -91,14 +93,14 @@ pub use cluster::{
     run_spmd, run_spmd_with_inputs, ClusterConfig, ClusterRun, JobBinding, SharedFabric,
     TransportKind,
 };
-pub use comm::{BcastAlgorithm, Communicator};
+pub use comm::Communicator;
 pub use error::{NetError, Result};
 pub use fabric::ShuffleFabric;
 pub use health::{HealthBoard, HealthConfig, Heartbeat, Liveness};
 pub use message::{Message, Tag};
 pub use rate::{Nic, NicMeter, NicProfile};
 pub use registry::{MembershipView, RankRegistry};
-pub use span::{SpanCollector, SpanLog, StageSpan};
+pub use span::{SpanLog, StageSpan};
 pub use trace::{EventKind, Trace, TraceCollector, TraceEvent};
 pub use transport::Transport;
 pub use udp::{build_udp_fabric, UdpConfig, UdpEndpoint, UdpFabricStats};

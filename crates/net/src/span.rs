@@ -1,39 +1,28 @@
-//! Stage spans: wall-clock brackets around every engine stage, per job
-//! and per rank.
+//! Stage spans: the snapshot types for wall-clock brackets around every
+//! engine stage, per job and per rank.
 //!
-//! Where [`trace`](crate::trace) records *what moved* (bytes, receiver
-//! sets, egress frames), the span layer records *where time went*: each
+//! Where the [`Trace`](crate::trace::Trace) records *what moved*, spans
+//! record *where time went*. The fabric's one
+//! [`TraceCollector`](crate::trace::TraceCollector) records both against
+//! one stage table: each
 //! [`Communicator::set_stage`](crate::comm::Communicator::set_stage) call
-//! closes the rank's open span and opens the next, so the existing
-//! per-stage engine annotations double as timing brackets with no engine
-//! changes. The result is the live per-job Fig. 9 breakdown a resident
-//! daemon can answer `cts stats` and `--timeline` queries from.
-//!
-//! Recording goes into a **fixed-capacity ring** sized at construction:
-//! a resident service's memory stays bounded however many jobs pass
-//! through, and — the property `tests/alloc_free.rs` pins — steady-state
-//! recording performs zero heap allocations. Old spans are overwritten
-//! oldest-first; a job's timeline is complete as long as it is queried
-//! within the last [`SpanCollector::capacity`] spans, which at seven
-//! stages × K ranks per job holds thousands of recent jobs.
+//! closes the rank's open span and opens the next, so the engines'
+//! per-stage annotations are the only stage clock. A [`SpanLog`] is what
+//! readers get back — one job's spans in
+//! [`ClusterRun::spans`](crate::cluster::ClusterRun::spans), or the
+//! collector's bounded history ring — and the engines' stage walls,
+//! `cts stats` and the Chrome timeline are all computed from it.
 //!
 //! ```
-//! use cts_net::span::{SpanCollector, StageSpan};
+//! use cts_net::span::{SpanLog, StageSpan};
 //!
-//! let spans = SpanCollector::new(true);
-//! let map = spans.intern("Map");
-//! let t0 = spans.now_ns();
-//! let span = StageSpan { job: 1, rank: 0, stage: map, start_ns: t0, end_ns: t0 + 1_000 };
-//! spans.record(span);
-//! let log = spans.snapshot().for_job(1);
-//! assert_eq!(log.spans.len(), 1);
-//! assert_eq!(log.stage_name(map), "Map");
+//! let log = SpanLog {
+//!     names: vec!["Map".to_string()],
+//!     spans: vec![StageSpan { job: 1, rank: 0, stage: 0, start_ns: 10, end_ns: 40 }],
+//! };
+//! assert_eq!(log.stage_durations_ns("Map"), vec![30]);
+//! assert_eq!(log.for_job(1).stage_name(0), "Map");
 //! ```
-
-use std::collections::HashMap;
-use std::time::Instant;
-
-use parking_lot::Mutex;
 
 /// One closed stage bracket on one rank of one job. Times are nanoseconds
 /// since the owning collector's origin.
@@ -55,125 +44,6 @@ impl StageSpan {
     /// The span's duration in nanoseconds.
     pub fn dur_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
-    }
-}
-
-/// Default ring capacity: at ~7 stages × K ranks per job this retains the
-/// full timelines of the last few hundred jobs even at K = 64.
-const DEFAULT_CAPACITY: usize = 1 << 16;
-
-struct SpanInner {
-    names: Vec<String>,
-    index: HashMap<String, u16>,
-    /// Ring storage; grows (and allocates) only until `capacity` spans
-    /// have been recorded, then overwrites oldest-first.
-    ring: Vec<StageSpan>,
-    /// Next write position once the ring is full.
-    head: usize,
-    /// Total spans ever recorded (≥ `ring.len()`).
-    recorded: u64,
-}
-
-/// Thread-safe span accumulator shared by all communicators of a fabric.
-pub struct SpanCollector {
-    enabled: bool,
-    capacity: usize,
-    origin: Instant,
-    inner: Mutex<SpanInner>,
-}
-
-impl SpanCollector {
-    /// Creates a collector with the default ring capacity. A disabled
-    /// collector records nothing and its hot path neither locks nor
-    /// allocates.
-    pub fn new(enabled: bool) -> SpanCollector {
-        SpanCollector::with_capacity(enabled, DEFAULT_CAPACITY)
-    }
-
-    /// Creates a collector retaining at most `capacity` recent spans.
-    pub fn with_capacity(enabled: bool, capacity: usize) -> SpanCollector {
-        SpanCollector {
-            enabled,
-            capacity: capacity.max(1),
-            origin: Instant::now(),
-            inner: Mutex::new(SpanInner {
-                names: Vec::new(),
-                index: HashMap::new(),
-                ring: Vec::new(),
-                head: 0,
-                recorded: 0,
-            }),
-        }
-    }
-
-    /// Whether recording is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The ring capacity (retention bound in spans).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Nanoseconds since this collector was created — the clock every
-    /// span's `start_ns`/`end_ns` is expressed in.
-    pub fn now_ns(&self) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
-    }
-
-    /// Interns a stage name, returning its index. Disabled collectors
-    /// return 0 without locking or allocating.
-    pub fn intern(&self, name: &str) -> u16 {
-        if !self.enabled {
-            return 0;
-        }
-        let mut inner = self.inner.lock();
-        if let Some(&idx) = inner.index.get(name) {
-            return idx;
-        }
-        let idx = inner.names.len() as u16;
-        inner.names.push(name.to_string());
-        inner.index.insert(name.to_string(), idx);
-        idx
-    }
-
-    /// Records one closed span (no-op when disabled). Allocation-free once
-    /// the ring has filled.
-    pub fn record(&self, span: StageSpan) {
-        if !self.enabled {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        inner.recorded += 1;
-        if inner.ring.len() < self.capacity {
-            inner.ring.push(span);
-        } else {
-            let head = inner.head;
-            inner.ring[head] = span;
-            inner.head = (head + 1) % self.capacity;
-        }
-    }
-
-    /// Total spans ever recorded (including any the ring has dropped).
-    pub fn recorded(&self) -> u64 {
-        self.inner.lock().recorded
-    }
-
-    /// Snapshot of the retained spans, oldest first.
-    pub fn snapshot(&self) -> SpanLog {
-        let inner = self.inner.lock();
-        let mut spans = Vec::with_capacity(inner.ring.len());
-        if inner.ring.len() == self.capacity {
-            spans.extend_from_slice(&inner.ring[inner.head..]);
-            spans.extend_from_slice(&inner.ring[..inner.head]);
-        } else {
-            spans.extend_from_slice(&inner.ring);
-        }
-        SpanLog {
-            names: inner.names.clone(),
-            spans,
-        }
     }
 }
 
@@ -274,45 +144,17 @@ mod tests {
     }
 
     #[test]
-    fn intern_is_stable_and_disabled_is_inert() {
-        let c = SpanCollector::new(true);
-        let a = c.intern("Map");
-        let b = c.intern("Shuffle");
-        assert_ne!(a, b);
-        assert_eq!(c.intern("Map"), a);
-
-        let off = SpanCollector::new(false);
-        assert_eq!(off.intern("Map"), 0);
-        off.record(span(1, 0, 0, 0, 5));
-        assert!(off.snapshot().spans.is_empty());
-        assert!(off.snapshot().names.is_empty());
-    }
-
-    #[test]
-    fn ring_overwrites_oldest_first() {
-        let c = SpanCollector::with_capacity(true, 4);
-        let st = c.intern("Map");
-        for i in 0..6u64 {
-            c.record(span(1, 0, st, i, i + 1));
-        }
-        assert_eq!(c.recorded(), 6);
-        let log = c.snapshot();
-        assert_eq!(log.spans.len(), 4);
-        // Oldest retained first: spans 2..6.
-        let starts: Vec<u64> = log.spans.iter().map(|s| s.start_ns).collect();
-        assert_eq!(starts, vec![2, 3, 4, 5]);
-    }
-
-    #[test]
     fn job_filter_and_stage_queries() {
-        let c = SpanCollector::new(true);
-        let map = c.intern("Map");
-        let shuffle = c.intern("Shuffle");
-        c.record(span(1, 0, map, 0, 100));
-        c.record(span(2, 0, map, 10, 40));
-        c.record(span(1, 1, map, 5, 120));
-        c.record(span(1, 0, shuffle, 120, 200));
-        let log = c.snapshot();
+        let (map, shuffle) = (0, 1);
+        let log = SpanLog {
+            names: vec!["Map".to_string(), "Shuffle".to_string()],
+            spans: vec![
+                span(1, 0, map, 0, 100),
+                span(2, 0, map, 10, 40),
+                span(1, 1, map, 5, 120),
+                span(1, 0, shuffle, 120, 200),
+            ],
+        };
         assert_eq!(log.jobs(), vec![1, 2]);
         let j1 = log.for_job(1);
         assert_eq!(j1.spans.len(), 3);
@@ -330,13 +172,5 @@ mod tests {
         assert_eq!(log.stage_wall_ns("Nope"), 0);
         assert!(log.stage_durations_ns("Nope").is_empty());
         assert_eq!(log.stage_name(7), "?");
-    }
-
-    #[test]
-    fn now_ns_is_monotone() {
-        let c = SpanCollector::new(true);
-        let a = c.now_ns();
-        let b = c.now_ns();
-        assert!(b >= a);
     }
 }

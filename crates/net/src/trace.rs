@@ -1,10 +1,25 @@
-//! Transfer tracing.
+//! Transfer tracing and stage spans: the one collector every communicator
+//! of a fabric records into.
 //!
-//! Every communicator records its traffic into a shared [`TraceCollector`].
-//! The resulting [`Trace`] — stage-labelled unicast and multicast events in
-//! global order — is what `cts-netsim` replays under a network model to
-//! produce the paper's stage timings, and what the Fig. 9 timeline renderer
-//! draws.
+//! A [`TraceCollector`] holds one stage-name table behind one lock and one
+//! on/off switch, and records two things against it:
+//!
+//! * **what moved** — the [`Trace`]: stage-labelled unicast and multicast
+//!   events in global order, which `cts-netsim` replays under a network
+//!   model to produce the paper's stage timings;
+//! * **where time went** — [`StageSpan`]s. Each
+//!   [`Communicator::set_stage`](crate::comm::Communicator::set_stage)
+//!   closes the rank's open span and opens the next, so a stage lasts
+//!   from its `set_stage` up to the next one, including the barrier that
+//!   ends it. This is the only stage clock: the engines' per-stage walls,
+//!   `cts stats`, TIMELINE and `--timeline` all read these spans.
+//!
+//! Spans also go into a **fixed-capacity history ring** sized at
+//! construction, so a resident service's memory stays bounded however
+//! many jobs pass through, and — the property `tests/alloc_free.rs`
+//! pins — steady-state recording performs zero heap allocations. Old
+//! spans are overwritten oldest-first; at seven stages × K ranks per job
+//! the default ring holds the timelines of thousands of recent jobs.
 //!
 //! Since the async-fabric refactor every event also carries
 //! [`wire_copies`](TraceEvent::wire_copies): how many separate egress
@@ -14,6 +29,7 @@
 //! `r×` fewer frames than serial-unicast emulation.
 //!
 //! ```
+//! use cts_net::span::StageSpan;
 //! use cts_net::trace::{EventKind, TraceCollector};
 //!
 //! let collector = TraceCollector::new(true);
@@ -24,12 +40,21 @@
 //! let trace = collector.snapshot();
 //! assert_eq!(trace.stage_bytes("Shuffle"), 164);
 //! assert_eq!(trace.stage_wire_sends("Shuffle"), 2); // 1 unicast + 1 native multicast
+//!
+//! // One closed stage span, recorded against the same stage table.
+//! let t0 = collector.now_ns();
+//! collector.record_span(StageSpan { job: 0, rank: 0, stage, start_ns: t0, end_ns: t0 + 1_000 });
+//! let spans = collector.span_snapshot();
+//! assert_eq!(spans.stage_durations_ns("Shuffle"), vec![1_000]);
 //! ```
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+
+use crate::span::{SpanLog, StageSpan};
 
 /// What kind of transfer an event describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,13 +62,11 @@ pub enum EventKind {
     /// An application point-to-point send (TeraSort's unicast shuffle, or
     /// any engine `send`).
     AppUnicast,
-    /// A logical multicast: one coded packet delivered to a receiver set
-    /// (recorded once, at the root, regardless of the tree used).
+    /// A group send: one coded packet delivered to a receiver set
+    /// (recorded once, at the root, however many copies the fabric sent).
     Multicast,
-    /// Substrate-internal traffic: barrier control messages and the
-    /// point-to-point hops a tree broadcast decomposes into. Network models
-    /// for the paper's schedules ignore these; the tree-cost ablation uses
-    /// them.
+    /// Substrate-internal traffic: barrier, gather and scatter control
+    /// messages. Network models for the paper's schedules ignore these.
     Internal,
 }
 
@@ -71,9 +94,7 @@ pub struct TraceEvent {
     pub overhead: u64,
     /// How many separate egress transmissions this payload made at the
     /// sender: 1 for unicasts and native multicasts, the fanout for
-    /// serial-unicast / fanout multicast emulation, and 0 for *logical*
-    /// multicast records whose constituent hops are traced separately as
-    /// [`EventKind::Internal`] events (the legacy tree-broadcast path).
+    /// serial-unicast / fanout multicast emulation.
     pub wire_copies: u16,
     /// Transfer kind.
     pub kind: EventKind,
@@ -178,28 +199,57 @@ impl Trace {
     }
 }
 
+/// Default span-ring capacity: at ~7 stages × K ranks per job this retains
+/// the full timelines of the last few hundred jobs even at K = 64.
+const SPAN_CAPACITY: usize = 1 << 16;
+
 #[derive(Default)]
 struct CollectorInner {
     stage_index: HashMap<String, u16>,
     stages: Vec<String>,
     events: Vec<TraceEvent>,
     seq: u64,
+    /// Span history ring; grows (and allocates) only until it holds
+    /// `span_capacity` spans, then overwrites oldest-first.
+    spans: Vec<StageSpan>,
+    /// Next ring write position once the ring is full.
+    span_head: usize,
+    /// Total spans ever recorded (≥ `spans.len()`).
+    spans_recorded: u64,
 }
 
-/// Thread-safe trace accumulator shared by all communicators of a fabric.
+/// Thread-safe trace and span accumulator shared by all communicators of
+/// a fabric.
 pub struct TraceCollector {
     enabled: bool,
+    span_capacity: usize,
+    origin: Instant,
     inner: Mutex<CollectorInner>,
 }
 
 impl TraceCollector {
-    /// Creates a collector; a disabled collector records nothing (zero
-    /// overhead beyond an atomic check).
+    /// Creates a collector with the default span-ring capacity. A
+    /// disabled collector records nothing, and its hot path neither locks
+    /// nor allocates.
     pub fn new(enabled: bool) -> Self {
+        TraceCollector::with_capacity(enabled, SPAN_CAPACITY)
+    }
+
+    /// Creates a collector whose span ring retains at most
+    /// `span_capacity` recent spans.
+    pub fn with_capacity(enabled: bool, span_capacity: usize) -> Self {
         TraceCollector {
             enabled,
+            span_capacity: span_capacity.max(1),
+            origin: Instant::now(),
             inner: Mutex::new(CollectorInner::default()),
         }
+    }
+
+    /// Nanoseconds since this collector was created — the clock every
+    /// span's `start_ns`/`end_ns` is expressed in.
+    pub fn now_ns(&self) -> u64 {
+        self.origin.elapsed().as_nanos() as u64
     }
 
     /// Whether recording is on.
@@ -324,9 +374,45 @@ impl TraceCollector {
 
     /// Drops every event recorded for `job`. A resident fabric calls this
     /// once a job has finished, so the collector holds only the events of
-    /// jobs still in flight instead of everything it ever recorded.
+    /// jobs still in flight instead of everything it ever recorded. The
+    /// span ring is bounded by itself and keeps the job's spans.
     pub fn retire(&self, job: u32) {
         self.inner.lock().events.retain(|e| e.job != job);
+    }
+
+    /// Pushes one closed span into the history ring (no-op when
+    /// disabled). Allocation-free once the ring has filled.
+    pub fn record_span(&self, span: StageSpan) {
+        if !self.enabled {
+            return;
+        }
+        let mut inner = self.inner.lock();
+        inner.spans_recorded += 1;
+        if inner.spans.len() < self.span_capacity {
+            inner.spans.push(span);
+        } else {
+            let head = inner.span_head;
+            inner.spans[head] = span;
+            inner.span_head = (head + 1) % self.span_capacity;
+        }
+    }
+
+    /// Total spans ever recorded (including any the ring has dropped).
+    pub fn spans_recorded(&self) -> u64 {
+        self.inner.lock().spans_recorded
+    }
+
+    /// Snapshot of the spans the ring retains, oldest first, with the
+    /// stage-name table.
+    pub fn span_snapshot(&self) -> SpanLog {
+        let inner = self.inner.lock();
+        let mut spans = Vec::with_capacity(inner.spans.len());
+        spans.extend_from_slice(&inner.spans[inner.span_head..]);
+        spans.extend_from_slice(&inner.spans[..inner.span_head]);
+        SpanLog {
+            names: inner.stages.clone(),
+            spans,
+        }
     }
 }
 
@@ -426,6 +512,60 @@ mod tests {
         assert_eq!(j1.events[1].seq, 2);
         assert_eq!(t.for_job(2).stage_bytes("Shuffle"), 40);
         assert!(t.for_job(9).events.is_empty());
+    }
+
+    fn span(job: u32, rank: u16, stage: u16, start: u64, end: u64) -> StageSpan {
+        StageSpan {
+            job,
+            rank,
+            stage,
+            start_ns: start,
+            end_ns: end,
+        }
+    }
+
+    #[test]
+    fn span_ring_overwrites_oldest_first() {
+        let c = TraceCollector::with_capacity(true, 4);
+        let st = c.intern("Map");
+        for i in 0..6u64 {
+            c.record_span(span(1, 0, st, i, i + 1));
+        }
+        assert_eq!(c.spans_recorded(), 6);
+        let log = c.span_snapshot();
+        assert_eq!(log.spans.len(), 4);
+        // Oldest retained first: spans 2..6.
+        let starts: Vec<u64> = log.spans.iter().map(|s| s.start_ns).collect();
+        assert_eq!(starts, vec![2, 3, 4, 5]);
+        assert_eq!(log.stage_name(st), "Map");
+    }
+
+    #[test]
+    fn spans_share_the_stage_table_and_survive_retire() {
+        let c = TraceCollector::new(true);
+        let s = c.intern("Shuffle");
+        c.record_transfer_for(1, s, 0, 0b10, 100, 0, 1, EventKind::AppUnicast);
+        c.record_span(span(1, 0, s, 0, 50));
+        c.retire(1);
+        assert!(c.snapshot().events.is_empty());
+        let log = c.span_snapshot();
+        assert_eq!(log.jobs(), vec![1]);
+        assert_eq!(log.stage_durations_ns("Shuffle"), vec![50]);
+    }
+
+    #[test]
+    fn disabled_collector_records_no_spans() {
+        let c = TraceCollector::new(false);
+        c.record_span(span(1, 0, 0, 0, 5));
+        assert_eq!(c.spans_recorded(), 0);
+        assert!(c.span_snapshot().spans.is_empty());
+    }
+
+    #[test]
+    fn now_ns_is_monotone() {
+        let c = TraceCollector::new(true);
+        let a = c.now_ns();
+        assert!(c.now_ns() >= a);
     }
 
     #[test]

@@ -227,7 +227,7 @@ mod tests {
         let input = generate(500, 74);
         let run = run_coded_terasort(
             input,
-            &SortJob::local(4, 2).with_kernel(SortKernel::LsdRadix),
+            &SortJob::local(4, 2).with_kernel(SortKernel::KeyIndex),
         )
         .unwrap();
         run.validate().unwrap();

@@ -154,7 +154,7 @@ mod tests {
         let data = generate(500, 33);
         let a = run_sequential(&TeraSortWorkload::range(4), &data, 4);
         let b = run_sequential(
-            &TeraSortWorkload::range(4).with_kernel(SortKernel::LsdRadix),
+            &TeraSortWorkload::range(4).with_kernel(SortKernel::KeyIndex),
             &data,
             4,
         );

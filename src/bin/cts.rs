@@ -68,15 +68,15 @@ USAGE:
   cts gen    --records N --out FILE [--seed S] [--skew F]
                generate TeraGen records (100 B each; --skew hot-fraction)
   cts sort   --input FILE --k K [--r R] [--pods G] [--sampled STRIDE]
-               [--tcp] [--radix] [--no-validate]
-               [--sort-kernel comparison|lsd-radix|key-index] [--threads T]
+               [--tcp] [--no-validate]
+               [--sort-kernel comparison|key-index] [--threads T]
                [--fabric serial-unicast|fanout|multicast|udp-multicast]
                [--field gf2|gf256] [--decode all|quorum] [--paper-nic]
                sort a file: r=1 → TeraSort, r>1 → CodedTeraSort,
                --pods G → pod-partitioned coded engine,
-               --sort-kernel → Reduce sort algorithm (--radix is the
-                 lsd-radix shorthand), --threads → intra-node workers for
-                 Map/Encode/Decode/Reduce (0 = all cores),
+               --sort-kernel → Reduce sort algorithm, --threads →
+                 intra-node workers for Map/Encode/Decode/Reduce
+                 (0 = all cores),
                --field → finite field for coded packets (gf2 = the
                  paper's XOR code, default; gf256 = q-ary combinations on
                  SIMD kernels — same sorted output, different wire bytes),
@@ -199,7 +199,9 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
     let threads: usize = opt(opts, "threads", 1)?;
     let kernel: SortKernel = match opts.get("sort-kernel") {
         Some(v) => v.parse()?,
-        None if opts.contains_key("radix") => SortKernel::LsdRadix,
+        // `--radix` stays a boolean flag so it fails as an unknown kernel
+        // instead of taking the next flag as its value.
+        None if opts.contains_key("radix") => "radix".parse()?,
         None => SortKernel::Comparison,
     };
     let fabric: cts_net::ShuffleFabric = match opts.get("fabric") {

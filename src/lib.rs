@@ -66,9 +66,7 @@ pub mod prelude {
         run_coded, run_coded_pods, run_sequential, run_uncoded, EngineConfig, InputFormat,
         JobRuntime, JobStatus, RuntimeConfig, Workload,
     };
-    pub use cts_net::{
-        run_spmd, BcastAlgorithm, ClusterConfig, Communicator, NicProfile, ShuffleFabric, Tag,
-    };
+    pub use cts_net::{run_spmd, ClusterConfig, Communicator, NicProfile, ShuffleFabric, Tag};
     pub use cts_netsim::{render_table, PerfModel, PerfModelConfig, RunStats, StageBreakdown};
     pub use cts_terasort::teragen;
     pub use cts_terasort::{

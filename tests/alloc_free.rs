@@ -325,7 +325,7 @@ fn warm_parallel_decode_shard_path_allocates_nothing() {
 fn warm_metrics_enabled_round_trip_allocates_nothing() {
     let _audit = audit();
     use cts_core::metrics::MetricsHub;
-    use cts_net::span::{SpanCollector, StageSpan};
+    use cts_net::span::StageSpan;
     use cts_net::trace::{EventKind, TraceCollector};
 
     let (k, r, value_len) = (6usize, 3usize, 4096usize);
@@ -351,11 +351,11 @@ fn warm_metrics_enabled_round_trip_allocates_nothing() {
     let shuffle_ns = hub.histogram_with("cts_stage_seconds", "stage", "Shuffle", 1e-9);
     // Enabled span ring, deliberately tiny so the warm-up fills it and
     // the measured records overwrite in place instead of growing.
-    let spans = SpanCollector::with_capacity(true, 64);
+    let spans = TraceCollector::with_capacity(true, 64);
     let shuffle = spans.intern("Shuffle");
     // Observability switched off must be indistinguishable from absent.
     let trace_off = TraceCollector::new(false);
-    let spans_off = SpanCollector::new(false);
+    let spans_off = TraceCollector::new(false);
 
     let mut scratch = EncodeScratch::new();
     let mut wire: Vec<u8> = Vec::new();
@@ -374,7 +374,7 @@ fn warm_metrics_enabled_round_trip_allocates_nothing() {
         .decode_packet_into(&shell, &rx_store, &mut acc)
         .unwrap();
     for i in 0..80u64 {
-        spans.record(StageSpan {
+        spans.record_span(StageSpan {
             job: 0,
             rank: 0,
             stage: shuffle,
@@ -401,7 +401,7 @@ fn warm_metrics_enabled_round_trip_allocates_nothing() {
         depth.set(i as i64);
         shuffle_ns.record(1 + i * 1_000);
         let start = spans.now_ns();
-        spans.record(StageSpan {
+        spans.record_span(StageSpan {
             job: 0,
             rank: 0,
             stage: shuffle,
@@ -418,7 +418,7 @@ fn warm_metrics_enabled_round_trip_allocates_nothing() {
             EventKind::Multicast,
         );
         let s2 = spans_off.intern("Shuffle");
-        spans_off.record(StageSpan {
+        spans_off.record_span(StageSpan {
             job: 0,
             rank: 0,
             stage: s2,
@@ -433,8 +433,8 @@ fn warm_metrics_enabled_round_trip_allocates_nothing() {
     );
     assert_eq!(acc, warm_segment);
     assert_eq!(packets.get(), 100);
-    assert_eq!(spans.recorded(), 180);
+    assert_eq!(spans.spans_recorded(), 180);
     assert_eq!(shuffle_ns.count(), 100);
-    assert_eq!(spans_off.recorded(), 0);
+    assert_eq!(spans_off.spans_recorded(), 0);
     assert!(trace_off.snapshot().total_bytes() == 0);
 }
